@@ -13,13 +13,10 @@ both carry "schema_version" and "results") and appends one entry
       "<bench name>": {"cells": N, "wall_ms_total": T,
                         "latency_ms_p95": P, "latency_ms_p99": Q}}}
 
-Documents marked "kind": "kernels" (bench_micro_kernels --json) also get
-a "kernels": {"<kernel id>": median_ms} map in their summary, so each
-micro-kernel tracks as its own trajectory line. Documents marked
-"kind": "trace_report" (scripts/trace_report.py --json) likewise get a
-"segments": {"<segment id>": median_ms} map — the per-request critical
-path (admission / queue wait / solve / response write) of the CI
-serving smoke, tracked segment by segment.
+Documents marked "kind": "trace_report" (scripts/trace_report.py --json)
+also get a "segments": {"<segment id>": median_ms} map in their summary
+— the per-request critical path (admission / queue wait / solve /
+response write) of the CI serving smoke, tracked segment by segment.
 
 to HISTORY.json ({"schema_version": 1, "entries": [...]}; created when
 missing). Per bench:
@@ -71,15 +68,6 @@ def summarize(path):
         "latency_ms_p95": round(percentile(medians, 95), 3),
         "latency_ms_p99": round(percentile(medians, 99), 3),
     }
-    if doc.get("kind") == "kernels":
-        # Micro-kernel documents (bench_micro_kernels --json) additionally
-        # record per-kernel median wall-ms, so layout changes show up as
-        # named lines in the trajectory rather than one blended total.
-        summary["kernels"] = {
-            r["id"]: round(r["wall_ms"]["median"], 4)
-            for r in doc["results"]
-            if not r.get("skipped") and "wall_ms" in r
-        }
     if doc.get("kind") == "trace_report":
         # Critical-path documents (trace_report.py --json): one named
         # line per request segment, so a queue-wait regression is visible

@@ -25,7 +25,7 @@ aggregate table, and with --json a schema-versioned BENCH-shaped
 document {"schema_version": 1, "kind": "trace_report", "bench": ID,
 "results": [{"id": "<segment>", "wall_ms": {"median": ..., "min": ...},
 "skipped": false}, ...]} that scripts/append_bench_history.py folds
-into the trajectory as a "segments" map (like the micro-kernel lines).
+into the trajectory as a "segments" map.
 
 Exits 1 when the trace is malformed or contains no complete request
 (an empty breakdown in CI means the serving smoke lost its spans — a

@@ -116,7 +116,7 @@ SolveResult solve_unw_rand_arrival(const Instance& inst,
 
 SolveResult solve_reduction_hk(const Instance& inst, const SolverSpec& spec) {
   Rng rng(spec.seed);
-  core::HkStreamingMatcher matcher(spec.runtime);
+  core::HkStreamingMatcher matcher;
   auto r = core::maximum_weight_matching(inst.graph, reduction_config(spec),
                                          matcher, rng);
   SolveResult out = reduction_result(r, matcher, "streaming");
@@ -168,7 +168,7 @@ SolveResult solve_reduction_mpc(const Instance& inst, const SolverSpec& spec) {
 SolveResult solve_reduction_exact(const Instance& inst,
                                   const SolverSpec& spec) {
   Rng rng(spec.seed);
-  core::ExactMatcher matcher(spec.runtime);
+  core::ExactMatcher matcher;
   auto r = core::maximum_weight_matching(inst.graph, reduction_config(spec),
                                          matcher, rng);
   return reduction_result(r, matcher, "offline");
@@ -196,10 +196,9 @@ SolveResult solve_hungarian(const Instance& inst, const SolverSpec&) {
   return out;
 }
 
-SolveResult solve_hopcroft_karp(const Instance& inst, const SolverSpec& spec) {
+SolveResult solve_hopcroft_karp(const Instance& inst, const SolverSpec&) {
   require_bipartite(inst, "exact-hk");
-  auto r = exact::hopcroft_karp(inst.graph, inst.side, 0, nullptr,
-                                spec.runtime);
+  auto r = exact::hopcroft_karp(inst.graph, inst.side);
   SolveResult out;
   out.matching = std::move(r.matching);
   out.cost.model = "offline";

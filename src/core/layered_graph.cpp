@@ -214,8 +214,6 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     lp.add_edge(cu, cv, e.w);
     if (!e.between) ml.add(cu, cv, e.w);
   });
-  // Freeze the compressed subgraph eagerly: the black box reads it from
-  // parallel BFS/DFS chunks, which must never see a lazily-built index.
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);
   return out;

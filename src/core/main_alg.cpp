@@ -42,8 +42,7 @@ Weight improve_matching_once(const GraphView& g, Matching& m,
                              const ReductionConfig& cfg,
                              UnweightedMatcher& matcher, Rng& rng,
                              std::size_t* max_invocation_cost_out,
-                             std::size_t* stored_words_out,
-                             runtime::ArenaPool* arenas) {
+                             std::size_t* stored_words_out) {
   SingleClassOptions opts;
   opts.delta = cfg.effective_delta();
   opts.enable_cycles = cfg.enable_cycles;
@@ -62,17 +61,11 @@ Weight improve_matching_once(const GraphView& g, Matching& m,
 
   // Fork one sub-matcher per class (serially, in ladder order) so classes
   // never share accounting state while running concurrently; a matcher
-  // that cannot fork is invoked serially instead. Each fork gets its own
-  // per-slot Arena (reused round over round, reset by the caller at the
-  // barrier) so the fork's solve-time scratch bumps a cursor instead of
-  // hitting the heap — and arenas are never shared across classes, which
-  // is what keeps the not-thread-safe Arena sound under parallel_for.
+  // that cannot fork is invoked serially instead.
   std::vector<std::unique_ptr<UnweightedMatcher>> subs(k);
   bool forked = true;
   for (std::size_t i = 0; i < k && forked; ++i) {
-    subs[i] =
-        matcher.fork_for_class(runtime::task_seed(round_base, 2 * i + 1),
-                               arenas ? &arenas->arena(i) : nullptr);
+    subs[i] = matcher.fork_for_class(runtime::task_seed(round_base, 2 * i + 1));
     if (!subs[i]) forked = false;
   }
 
@@ -164,21 +157,13 @@ MainAlgResult maximum_weight_matching(const GraphView& g,
   // several consecutive stalls (or the eps-determined round budget).
   std::size_t stalls = 0;
   obs::Counter& round_counter = obs::counter("solver.rounds");
-  // Per-class fork arenas, reused for the whole run: reset (not freed) at
-  // each round barrier, so after the first round the forks' scratch state
-  // is pure pointer bumps over warm chunks. Deliberately invisible to the
-  // MemoryMeter accounting above — the meter charges the model's stored
-  // words, not the host allocator's strategy.
-  runtime::ArenaPool arenas;
   for (std::size_t it = 0; it < iters && stalls < cfg.stall_patience; ++it) {
     obs::Span round_span("solver.round", static_cast<std::int64_t>(it));
     round_counter.add();
-    arenas.reset_all();  // round barrier: rewind, keep chunks
     std::size_t max_cost = 0;
     std::size_t round_words = 0;
     Weight gain = improve_matching_once(g, result.matching, cfg, matcher,
-                                        rng, &max_cost, &round_words,
-                                        &arenas);
+                                        rng, &max_cost, &round_words);
     meter.add(round_words);
     meter.sub(round_words);
     ++result.iterations;

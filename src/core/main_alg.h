@@ -18,7 +18,6 @@
 #include "core/tau.h"
 #include "graph/graph_view.h"
 #include "graph/matching.h"
-#include "runtime/arena.h"
 #include "runtime/runtime.h"
 #include "util/rng.h"
 
@@ -74,21 +73,14 @@ struct MainAlgResult {
 /// cfg.runtime's thread pool with forked sub-matchers (see
 /// UnweightedMatcher::fork_for_class) merged at the end-of-round barrier;
 /// `stored_words_out`, when given, receives the round's stored-word
-/// charge (sum of per-class peaks). `arenas`, when given, supplies one
-/// Arena per ladder slot for the forks' scratch state — the caller owns
-/// the pool and must reset it between rounds (arena memory is dead once
-/// this returns).
+/// charge (sum of per-class peaks).
 Weight improve_matching_once(const GraphView& g, Matching& m,
                              const ReductionConfig& cfg,
                              UnweightedMatcher& matcher, Rng& rng,
                              std::size_t* max_invocation_cost_out = nullptr,
-                             std::size_t* stored_words_out = nullptr,
-                             runtime::ArenaPool* arenas = nullptr);
+                             std::size_t* stored_words_out = nullptr);
 
 /// Full (1-eps) algorithm starting from `initial` (empty by default).
-/// Owns an ArenaPool that persists across rounds and is reset (not freed)
-/// at each round barrier, so steady-state rounds fork their class
-/// sub-matchers without heap traffic.
 MainAlgResult maximum_weight_matching(const GraphView& g,
                                       const ReductionConfig& cfg,
                                       UnweightedMatcher& matcher, Rng& rng,

@@ -27,15 +27,14 @@ std::size_t pass_cost(std::size_t phases) {
 Matching HkStreamingMatcher::solve(const GraphView& g,
                                    const std::vector<char>& side,
                                    double delta) {
-  auto result = exact::hopcroft_karp(g, side, phases_for(delta), nullptr, rt_,
-                                     scratch_);
+  auto result = exact::hopcroft_karp(g, side, phases_for(delta));
   charge_invocation(pass_cost(result.phases));
   return std::move(result.matching);
 }
 
 std::unique_ptr<UnweightedMatcher> HkStreamingMatcher::fork_for_class(
-    std::uint64_t /*seed*/, runtime::Arena* scratch) {
-  return std::make_unique<HkStreamingMatcher>(rt_, scratch);
+    std::uint64_t /*seed*/, runtime::Arena*) {
+  return std::make_unique<HkStreamingMatcher>();
 }
 
 Matching MpcMatcher::solve(const GraphView& g, const std::vector<char>& side,
@@ -52,7 +51,7 @@ MpcMatcher::MpcMatcher(const mpc::MpcConfig& config, std::uint64_t seed)
       rng_(owned_rng_.get()) {}
 
 std::unique_ptr<UnweightedMatcher> MpcMatcher::fork_for_class(
-    std::uint64_t seed, runtime::Arena* /*scratch*/) {
+    std::uint64_t seed, runtime::Arena*) {
   return std::unique_ptr<UnweightedMatcher>(
       new MpcMatcher(ctx_->config(), seed));
 }
@@ -65,14 +64,14 @@ void MpcMatcher::merge_class(const UnweightedMatcher& sub) {
 Matching ExactMatcher::solve(const GraphView& g, const std::vector<char>& side,
                              double delta) {
   (void)delta;
-  auto result = exact::hopcroft_karp(g, side, 0, nullptr, rt_, scratch_);
+  auto result = exact::hopcroft_karp(g, side);
   charge_invocation(result.phases);
   return std::move(result.matching);
 }
 
 std::unique_ptr<UnweightedMatcher> ExactMatcher::fork_for_class(
-    std::uint64_t /*seed*/, runtime::Arena* scratch) {
-  return std::make_unique<ExactMatcher>(rt_, scratch);
+    std::uint64_t /*seed*/, runtime::Arena*) {
+  return std::make_unique<ExactMatcher>();
 }
 
 }  // namespace wmatch::core

@@ -19,9 +19,12 @@
 #include "graph/graph_view.h"
 #include "graph/matching.h"
 #include "mpc/mpc_context.h"
-#include "runtime/arena.h"
 #include "runtime/runtime.h"
 #include "util/rng.h"
+
+namespace wmatch::runtime {
+class Arena;  // only for fork_for_class's unused parameter (see below)
+}  // namespace wmatch::runtime
 
 namespace wmatch::core {
 
@@ -45,19 +48,16 @@ class UnweightedMatcher {
   /// merge discipline of DESIGN.md §5). `fork_for_class` returns an
   /// independent matcher whose counters (and, for MPC, simulated-cluster
   /// context) accumulate locally while weight classes run concurrently;
-  /// `seed` feeds any randomness the fork owns, and `scratch` (optional)
-  /// is a per-class Arena the fork may draw its solve-time scratch state
-  /// from — the round driver resets it at the round barrier, so the fork
-  /// must not keep arena memory alive across merge_class. `merge_class`
-  /// folds a fork back — call it at the round barrier, in class-ladder
-  /// order, never concurrently; the base fold covers the shared counters,
-  /// and overrides must invoke it before folding their own state. A
-  /// nullptr fork means the matcher does not support forking and must be
-  /// invoked serially instead.
+  /// `seed` feeds any randomness the fork owns. `merge_class` folds a
+  /// fork back — call it at the round barrier, in class-ladder order,
+  /// never concurrently; the base fold covers the shared counters, and
+  /// overrides must invoke it before folding their own state. A nullptr
+  /// fork means the matcher does not support forking and must be invoked
+  /// serially instead.
+  // The unused Arena* keeps perfbench/wmatch_perf.cpp's override compiling.
   virtual std::unique_ptr<UnweightedMatcher> fork_for_class(
-      std::uint64_t seed, runtime::Arena* scratch = nullptr) {
+      std::uint64_t seed, runtime::Arena* = nullptr) {
     (void)seed;
-    (void)scratch;
     return nullptr;
   }
   virtual void merge_class(const UnweightedMatcher& sub) {
@@ -87,18 +87,13 @@ class UnweightedMatcher {
 /// Oe(1).
 class HkStreamingMatcher final : public UnweightedMatcher {
  public:
-  explicit HkStreamingMatcher(const runtime::RuntimeConfig& rt = {},
-                              runtime::Arena* scratch = nullptr)
-      : rt_(rt), scratch_(scratch) {}
+  // The ignored RuntimeConfig keeps perfbench/wmatch_perf.cpp compiling.
+  explicit HkStreamingMatcher(const runtime::RuntimeConfig& = {}) {}
 
   Matching solve(const GraphView& g, const std::vector<char>& side,
                  double delta) override;
-  std::unique_ptr<UnweightedMatcher> fork_for_class(
-      std::uint64_t seed, runtime::Arena* scratch) override;
-
- private:
-  runtime::RuntimeConfig rt_;
-  runtime::Arena* scratch_;  ///< backs hopcroft_karp's per-solve scratch
+  std::unique_ptr<UnweightedMatcher> fork_for_class(std::uint64_t seed,
+                                                    runtime::Arena*) override;
 };
 
 /// MPC black box: LMSV11-style filtering + phase-limited Hopcroft–Karp on
@@ -113,10 +108,9 @@ class MpcMatcher final : public UnweightedMatcher {
   /// (own MpcContext + own seed-derived Rng); merge_class folds rounds,
   /// communication, the per-machine peak, and the violation flag back
   /// into the parent context (MpcContext::merge_parallel) on top of the
-  /// base counter fold. The arena is unused: the simulator's state is the
-  /// simulated cluster itself, not heap scratch.
-  std::unique_ptr<UnweightedMatcher> fork_for_class(
-      std::uint64_t seed, runtime::Arena* scratch) override;
+  /// base counter fold.
+  std::unique_ptr<UnweightedMatcher> fork_for_class(std::uint64_t seed,
+                                                    runtime::Arena*) override;
   void merge_class(const UnweightedMatcher& sub) override;
 
  private:
@@ -132,18 +126,10 @@ class MpcMatcher final : public UnweightedMatcher {
 /// tests to isolate reduction behaviour from black-box slack.
 class ExactMatcher final : public UnweightedMatcher {
  public:
-  explicit ExactMatcher(const runtime::RuntimeConfig& rt = {},
-                        runtime::Arena* scratch = nullptr)
-      : rt_(rt), scratch_(scratch) {}
-
   Matching solve(const GraphView& g, const std::vector<char>& side,
                  double delta) override;
-  std::unique_ptr<UnweightedMatcher> fork_for_class(
-      std::uint64_t seed, runtime::Arena* scratch) override;
-
- private:
-  runtime::RuntimeConfig rt_;
-  runtime::Arena* scratch_;  ///< backs hopcroft_karp's per-solve scratch
+  std::unique_ptr<UnweightedMatcher> fork_for_class(std::uint64_t seed,
+                                                    runtime::Arena*) override;
 };
 
 }  // namespace wmatch::core

@@ -1,14 +1,12 @@
 #include "exact/hopcroft_karp.h"
 
-#include <atomic>
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <utility>
 
 #include "obs/obs.h"
-#include "runtime/parallel.h"
-#include "runtime/thread_pool.h"
-#include "util/bitset.h"
 #include "util/require.h"
 
 namespace wmatch::exact {
@@ -16,143 +14,6 @@ namespace wmatch::exact {
 namespace {
 constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
-
-/// Chunk grains: BFS frontier expansion is cheap per vertex, speculative
-/// DFS does real work per root. Grains affect wall clock only, never the
-/// result (see the determinism argument in hopcroft_karp below). The
-/// bitset frontier chunks over whole 64-vertex words, so its grain is in
-/// words, not vertices.
-constexpr std::size_t kBfsGrain = 64;
-constexpr std::size_t kBfsWordGrain = 2;
-constexpr std::size_t kDfsGrain = 4;
-
-Vertex mate_of(const GraphView& g, std::span<const std::uint32_t> match_edge,
-               Vertex v) {
-  return match_edge[v] == kNoEdge ? kNoVertex
-                                  : g.edge(match_edge[v]).other(v);
-}
-
-struct BfsPart {
-  bool free_right = false;
-  bool any_next = false;
-};
-
-/// Level-synchronous BFS with one-vertex-at-a-time frontier vectors; the
-/// claim on a right vertex is a CAS on dist[u]. Every contender for a
-/// right vertex writes the same level value, and a mate is reachable only
-/// through its unique matched partner, so the dist labels (and the
-/// reachable-free-right flag) are independent of chunking, schedule, and
-/// thread count — only the transient frontier *order* may differ, and
-/// nothing downstream reads it.
-bool bfs_scalar(const GraphView& g, std::span<const std::uint32_t> match_edge,
-                std::span<std::uint32_t> dist, runtime::ThreadPool& pool,
-                std::vector<Vertex> frontier) {
-  struct Layer {
-    std::vector<Vertex> next;
-    bool free_right = false;
-  };
-  bool reachable_free_right = false;
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    Layer layer = runtime::parallel_reduce(
-        pool, frontier.size(), kBfsGrain, Layer{},
-        [&](std::size_t lo, std::size_t hi) {
-          Layer local;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Vertex v = frontier[i];
-            for (std::uint32_t ei : g.incident(v)) {
-              if (ei == match_edge[v]) continue;  // leave on non-matching
-              const Vertex u = g.edge(ei).other(v);
-              std::uint32_t expected = kInf;
-              if (!std::atomic_ref<std::uint32_t>(dist[u])
-                       .compare_exchange_strong(expected, level + 1,
-                                                std::memory_order_relaxed)) {
-                continue;  // claimed (same value) by another chunk
-              }
-              const Vertex w = mate_of(g, match_edge, u);
-              if (w == kNoVertex) {
-                local.free_right = true;
-              } else {
-                // u was claimed uniquely, so its mate has one writer.
-                std::atomic_ref<std::uint32_t>(dist[w]).store(
-                    level + 2, std::memory_order_relaxed);
-                local.next.push_back(w);
-              }
-            }
-          }
-          return local;
-        },
-        [](Layer acc, Layer part) {
-          acc.next.insert(acc.next.end(), part.next.begin(), part.next.end());
-          acc.free_right |= part.free_right;
-          return acc;
-        });
-    reachable_free_right |= layer.free_right;
-    frontier = std::move(layer.next);
-    level += 2;
-  }
-  return reachable_free_right;
-}
-
-/// Word-parallel BFS: the frontier and the claimed set pack 64 vertices
-/// per word. A right vertex is claimed by an atomic fetch_or on its
-/// claimed bit; the claim winner is the unique writer of dist[u] and of
-/// its mate's dist and frontier bit, and within a word vertices expand in
-/// ascending index order, identically for every thread count. The dist
-/// labels are the same level values the scalar mode writes, so the two
-/// modes are bit-identical end to end.
-bool bfs_bitset(const GraphView& g, std::span<const std::uint32_t> match_edge,
-                std::span<std::uint32_t> dist, runtime::ThreadPool& pool,
-                std::span<std::uint64_t> cur, std::span<std::uint64_t> next,
-                std::span<std::uint64_t> claimed, bool any) {
-  std::fill(next.begin(), next.end(), 0);
-  std::fill(claimed.begin(), claimed.end(), 0);
-  bool reachable_free_right = false;
-  std::uint32_t level = 0;
-  while (any) {
-    BfsPart round = runtime::parallel_reduce(
-        pool, cur.size(), kBfsWordGrain, BfsPart{},
-        [&](std::size_t lo, std::size_t hi) {
-          BfsPart local;
-          for (std::size_t w = lo; w < hi; ++w) {
-            util::for_each_set_bit(
-                cur[w], w * util::kBitsPerWord, [&](std::size_t vi) {
-                  const Vertex v = static_cast<Vertex>(vi);
-                  const auto ids = g.incident(v);
-                  const auto nbrs = g.neighbors(v);
-                  for (std::size_t s = 0; s < ids.size(); ++s) {
-                    const std::uint32_t ei = ids[s];
-                    if (ei == match_edge[v]) continue;
-                    const Vertex u = nbrs[s];
-                    if (!util::bit_test_and_set_atomic(claimed, u)) continue;
-                    dist[u] = level + 1;  // claim winner: unique writer
-                    const Vertex mw = mate_of(g, match_edge, u);
-                    if (mw == kNoVertex) {
-                      local.free_right = true;
-                    } else {
-                      dist[mw] = level + 2;
-                      util::bit_set_atomic(next, mw);
-                      local.any_next = true;
-                    }
-                  }
-                });
-          }
-          return local;
-        },
-        [](BfsPart acc, BfsPart part) {
-          acc.free_right |= part.free_right;
-          acc.any_next |= part.any_next;
-          return acc;
-        });
-    reachable_free_right |= round.free_right;
-    std::swap(cur, next);
-    std::fill(next.begin(), next.end(), 0);
-    any = round.any_next;
-    level += 2;
-  }
-  return reachable_free_right;
-}
-
 }  // namespace
 
 std::vector<char> bipartition_of(const GraphView& g) {
@@ -178,66 +39,18 @@ std::vector<char> bipartition_of(const GraphView& g) {
   return color;
 }
 
-bool hk_bfs_layering(const GraphView& g,
-                     std::span<const std::uint32_t> match_edge,
-                     std::span<const char> in_left,
-                     std::span<std::uint32_t> dist,
-                     runtime::ThreadPool& pool, HkFrontier frontier,
-                     runtime::Arena* scratch) {
-  const std::size_t n = g.num_vertices();
-  std::fill(dist.begin(), dist.end(), kInf);
-  if (frontier == HkFrontier::kScalar) {
-    std::vector<Vertex> roots;
-    for (Vertex v = 0; v < n; ++v) {
-      if (in_left[v] && match_edge[v] == kNoEdge) {
-        dist[v] = 0;
-        roots.push_back(v);
-      }
-    }
-    return bfs_scalar(g, match_edge, dist, pool, std::move(roots));
-  }
-  const std::size_t nwords = util::bitset_words(n);
-  runtime::ArenaVector<std::uint64_t> words(
-      nwords * 3, 0, runtime::ArenaAllocator<std::uint64_t>(scratch));
-  std::span<std::uint64_t> cur(words.data(), nwords);
-  std::span<std::uint64_t> next(words.data() + nwords, nwords);
-  std::span<std::uint64_t> claimed(words.data() + 2 * nwords, nwords);
-  bool any = false;
-  for (Vertex v = 0; v < n; ++v) {
-    if (in_left[v] && match_edge[v] == kNoEdge) {
-      dist[v] = 0;
-      util::bit_set(cur, v);
-      any = true;
-    }
-  }
-  return bfs_bitset(g, match_edge, dist, pool, cur, next, claimed, any);
-}
-
 HopcroftKarpResult hopcroft_karp(const GraphView& g,
                                  const std::vector<char>& side,
                                  std::size_t max_phases,
-                                 const Matching* initial,
-                                 const runtime::RuntimeConfig& rt,
-                                 runtime::Arena* scratch,
-                                 HkFrontier frontier) {
+                                 const Matching* initial) {
   const std::size_t n = g.num_vertices();
   WMATCH_REQUIRE(side.size() == n, "side vector size mismatch");
   for (const Edge& e : g.edges()) {
     WMATCH_REQUIRE(side[e.u] != side[e.v], "edge within one side");
   }
 
-  // Per-invocation O(n) scratch, carved from the arena when one is given
-  // (and reclaimed wholesale by its next reset()) — all allocated here on
-  // the calling thread, before any parallel region, per the Arena
-  // threading contract. The GraphView's CSR is immutable and read-shared,
-  // so the parallel chunks below touch no lazily-built state (the old
-  // serial adjacency pre-touch is gone with the lazy build itself).
-  const runtime::ArenaAllocator<std::uint32_t> alloc32(scratch);
-  const runtime::ArenaAllocator<char> alloc8(scratch);
-  const runtime::ArenaAllocator<std::uint64_t> alloc64(scratch);
-
   // match_edge[v] = index of the matched edge at v, or kNoEdge.
-  runtime::ArenaVector<std::uint32_t> match_edge(n, kNoEdge, alloc32);
+  std::vector<std::uint32_t> match_edge(n, kNoEdge);
   if (initial) {
     WMATCH_REQUIRE(initial->num_vertices() == n, "initial matching size");
     for (const Edge& me : initial->edges()) {
@@ -254,63 +67,68 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
     }
   }
 
-  auto mate = [&](Vertex v) -> Vertex { return mate_of(g, match_edge, v); };
+  auto mate = [&](Vertex v) -> Vertex {
+    return match_edge[v] == kNoEdge ? kNoVertex
+                                    : g.edge(match_edge[v]).other(v);
+  };
+  auto free_left = [&](Vertex v) {
+    return side[v] == 0 && match_edge[v] == kNoEdge;
+  };
 
-  runtime::ArenaVector<char> in_left(n, 0, alloc8);
-  for (Vertex v = 0; v < n; ++v) in_left[v] = (side[v] == 0);
-
-  runtime::ThreadPool& pool = runtime::pool_for(rt);
-  runtime::ArenaVector<std::uint32_t> dist(n, 0, alloc32);
-
-  // Bitset-frontier words, allocated once for the whole invocation and
-  // re-zeroed per phase (3 * ceil(n/64) words: frontier, next, claimed).
-  const std::size_t nwords =
-      frontier == HkFrontier::kBitset ? util::bitset_words(n) : 0;
-  runtime::ArenaVector<std::uint64_t> words(nwords * 3, 0, alloc64);
-
+  // Alternating BFS from every free left vertex: free left roots get 0,
+  // right vertices odd levels, their mates the next even level. It labels
+  // every reachable level (it does not stop at the first free right
+  // vertex) and returns whether any free right vertex is reachable.
+  std::vector<std::uint32_t> dist(n);
+  std::vector<Vertex> queue;
   auto bfs = [&]() -> bool {
     std::fill(dist.begin(), dist.end(), kInf);
-    if (frontier == HkFrontier::kScalar) {
-      std::vector<Vertex> roots;
-      for (Vertex v = 0; v < n; ++v) {
-        if (in_left[v] && match_edge[v] == kNoEdge) {
-          dist[v] = 0;
-          roots.push_back(v);
+    queue.clear();
+    for (Vertex v = 0; v < n; ++v) {
+      if (free_left(v)) {
+        dist[v] = 0;
+        queue.push_back(v);
+      }
+    }
+    bool reachable_free_right = false;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex v = queue[head];
+      for (std::uint32_t ei : g.incident(v)) {
+        if (ei == match_edge[v]) continue;  // leave on non-matching
+        const Vertex u = g.edge(ei).other(v);
+        if (dist[u] != kInf) continue;
+        dist[u] = dist[v] + 1;
+        const Vertex w = mate(u);
+        if (w == kNoVertex) {
+          reachable_free_right = true;
+        } else {
+          dist[w] = dist[v] + 2;  // reachable only through u
+          queue.push_back(w);
         }
       }
-      return bfs_scalar(g, match_edge, dist, pool, std::move(roots));
     }
-    std::span<std::uint64_t> cur(words.data(), nwords);
-    std::span<std::uint64_t> next(words.data() + nwords, nwords);
-    std::span<std::uint64_t> claimed(words.data() + 2 * nwords, nwords);
-    std::fill(cur.begin(), cur.end(), 0);
-    bool any = false;
-    for (Vertex v = 0; v < n; ++v) {
-      if (in_left[v] && match_edge[v] == kNoEdge) {
-        dist[v] = 0;
-        util::bit_set(cur, v);
-        any = true;
-      }
-    }
-    return bfs_bitset(g, match_edge, dist, pool, cur, next, claimed, any);
+    return reachable_free_right;
   };
 
-  // One DFS walk from `root` along the dist layering, shared by the
-  // speculative and the retry path — they differ only in how they skip /
-  // retire fruitless right vertices. `skip(u)` filters a right vertex
-  // before it is considered; `mark_dead(u)` retires one whose subtree is
-  // exhausted (a subtree only moves to strictly larger dist values, so
-  // fruitlessness is independent of the path prefix — and, against a
-  // frozen snapshot, of the root as well). Returns the non-matching edges
-  // of an augmenting path root -> free right vertex (empty if none).
+  // One DFS from `root` along the dist levels. A right vertex whose
+  // subtree is exhausted is retired (dist = kInf) for the rest of the
+  // phase: its subtree only moves to larger levels, so it is fruitless
+  // whatever the path prefix, and the search space only shrinks as paths
+  // commit. On success the path is flipped into the matching and all its
+  // vertices are retired, which keeps the phase's paths vertex-disjoint.
   struct Frame {
-    Vertex v;              // left vertex being expanded
-    std::size_t it;        // next incident-edge slot of v
-    std::uint32_t entry;   // edge that entered v (kNoEdge for the root)
+    Vertex v;             // left vertex being expanded
+    std::size_t it;       // next incident-edge slot of v
+    std::uint32_t entry;  // non-matching edge into v's mate (kNoEdge: root)
   };
-  auto walk = [&](Vertex root, auto&& skip,
-                  auto&& mark_dead) -> std::vector<std::uint32_t> {
-    std::vector<Frame> stack{{root, 0, kNoEdge}};
+  std::vector<Frame> stack;
+  auto flip = [&](std::uint32_t ei) {
+    const Edge& e = g.edge(ei);
+    match_edge[e.u] = match_edge[e.v] = ei;
+    dist[e.u] = dist[e.v] = kInf;
+  };
+  auto augment_from = [&](Vertex root) {
+    stack.assign(1, {root, 0, kNoEdge});
     while (!stack.empty()) {
       Frame& f = stack.back();
       const auto inc = g.incident(f.v);
@@ -320,16 +138,13 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
         if (ei == match_edge[f.v]) continue;
         const Vertex u = g.edge(ei).other(f.v);
         if (dist[u] != dist[f.v] + 1) continue;
-        if (skip(u)) continue;
         const Vertex w = mate(u);
         if (w == kNoVertex) {
-          std::vector<std::uint32_t> path;
-          path.reserve(stack.size());
           for (const Frame& fr : stack) {
-            if (fr.entry != kNoEdge) path.push_back(fr.entry);
+            if (fr.entry != kNoEdge) flip(fr.entry);
           }
-          path.push_back(ei);
-          return path;
+          flip(ei);
+          return;
         }
         if (dist[w] == dist[u] + 1) {
           ++f.it;  // resume after this edge when the subtree fails
@@ -337,128 +152,42 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
           descended = true;
           break;
         }
-        mark_dead(u);  // matched off-layer: a dead end for this phase
+        dist[u] = kInf;  // matched off-level: a dead end for this phase
       }
       if (descended) continue;
-      // f.v is exhausted: its entry right vertex is fruitless everywhere.
-      if (f.entry != kNoEdge) mark_dead(g.edge(f.entry).other(f.v));
+      // f.v is exhausted, so the right vertex it was entered through (its
+      // mate; `entry` ends there, not at f.v) is fruitless.
+      if (f.entry != kNoEdge) dist[mate(f.v)] = kInf;
       stack.pop_back();
-    }
-    return {};
-  };
-
-  // Speculative DFS against the frozen (dist, match_edge) snapshot of
-  // this phase: mutates no shared state; fruitless right vertices are
-  // memoized in the chunk's `dead` scratch. Because the snapshot is
-  // identical for every root, the marks carry across the whole chunk —
-  // pruned subtrees can never contribute path edges, so the candidate
-  // found is the same with or without them, which both preserves the
-  // thread-count invariance (chunking differs, results do not) and keeps
-  // a phase's sequential work near the classic shared-pruning bound at
-  // num_threads = 1 (one chunk = full cross-root memoization).
-  auto speculate = [&](Vertex root,
-                       std::vector<char>& dead) -> std::vector<std::uint32_t> {
-    return walk(
-        root, [&](Vertex u) { return dead[u] != 0; },
-        [&](Vertex u) { dead[u] = 1; });
-  };
-
-  // Serial fallback for roots whose speculative path conflicted with an
-  // earlier commit: the classic live-state DFS, pruning globally through
-  // dist (committed paths and exhausted subtrees are marked kInf, which is
-  // sound because the per-phase search space only ever shrinks).
-  auto retry = [&](Vertex root) -> std::vector<std::uint32_t> {
-    return walk(
-        root, [](Vertex) { return false; },
-        [&](Vertex u) { dist[u] = kInf; });
-  };
-
-  // Flips the matching along the non-matching edges of an augmenting path
-  // and retires its vertices from this phase (claimed + dist = kInf).
-  runtime::ArenaVector<char> claimed(n, 0, alloc8);
-  auto commit = [&](const std::vector<std::uint32_t>& path) {
-    for (std::uint32_t ei : path) {
-      const Edge& e = g.edge(ei);
-      match_edge[e.u] = ei;
-      match_edge[e.v] = ei;
-      claimed[e.u] = claimed[e.v] = 1;
-      dist[e.u] = dist[e.v] = kInf;
     }
   };
 
   std::size_t phases = 0;
   obs::Counter& phase_counter = obs::counter("hk.phases");
   while (max_phases == 0 || phases < max_phases) {
-    // One phase under a span; the layering BFS and the batched DFS get
-    // sub-spans of their own. Spans and the hk.phases counter observe the
-    // loop without changing it (the loop structure is the old
-    // `while (... && bfs())` unrolled so each part can be wrapped).
+    // Spans and the hk.phases counter observe the loop without changing it.
     obs::Span phase_span("hk.phase", static_cast<std::int64_t>(phases));
-    bool layered;
+    bool layered = false;
     {
       obs::Span bfs_span("hk.bfs");
       layered = bfs();
     }
     if (!layered) break;
-    // Batch the free roots: speculate candidate paths for all of them
-    // concurrently against the phase-start snapshot, then commit serially
-    // in root index order, falling back to a live serial DFS for roots
-    // whose candidate touches an already-committed vertex. Speculation is
-    // snapshot-pure and the commit/retry pass is sequential, so the phase
-    // outcome is bit-identical for any thread count; and every free root
-    // either augments or proves no disjoint path remains, so the committed
-    // set is maximal — exactly the per-phase invariant Hopcroft-Karp's
-    // bounds (and Fact 1.3) rely on.
-    bool any = false;
     {
+      // No progress check is needed: a reachable free right vertex
+      // guarantees at least one augmentation.
       obs::Span dfs_span("hk.dfs");
-      std::vector<Vertex> roots;
       for (Vertex v = 0; v < n; ++v) {
-        if (in_left[v] && match_edge[v] == kNoEdge && dist[v] == 0) {
-          roots.push_back(v);
-        }
-      }
-      std::vector<std::vector<std::uint32_t>> candidate(roots.size());
-      runtime::parallel_for(
-          pool, roots.size(), kDfsGrain, [&](std::size_t lo, std::size_t hi) {
-            std::vector<char> dead(n, 0);  // shared across the chunk's roots
-            for (std::size_t i = lo; i < hi; ++i) {
-              candidate[i] = speculate(roots[i], dead);
-            }
-          });
-
-      std::fill(claimed.begin(), claimed.end(), 0);
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        const std::vector<std::uint32_t>& path = candidate[i];
-        if (path.empty()) continue;  // no path in the (larger) snapshot space
-        bool clean = true;
-        for (std::uint32_t ei : path) {
-          const Edge& e = g.edge(ei);
-          if (claimed[e.u] || claimed[e.v]) {
-            clean = false;
-            break;
-          }
-        }
-        if (!clean) {
-          const std::vector<std::uint32_t> rerun = retry(roots[i]);
-          if (rerun.empty()) continue;
-          commit(rerun);
-        } else {
-          commit(path);
-        }
-        any = true;
+        if (free_left(v)) augment_from(v);
       }
     }
     ++phases;
     phase_counter.add();
-    if (!any) break;
   }
 
   Matching m(n);
   for (Vertex v = 0; v < n; ++v) {
-    if (match_edge[v] != kNoEdge && v < g.edge(match_edge[v]).other(v)) {
-      m.add(g.edge(match_edge[v]));
-    }
+    if (match_edge[v] != kNoEdge && v < mate(v)) m.add(g.edge(match_edge[v]));
   }
   return {std::move(m), phases};
 }

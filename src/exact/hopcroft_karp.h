@@ -10,17 +10,10 @@
 // BFS+DFS in a distributed simulation.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "graph/graph_view.h"
 #include "graph/matching.h"
-#include "runtime/arena.h"
-#include "runtime/runtime.h"
-
-namespace wmatch::runtime {
-class ThreadPool;
-}  // namespace wmatch::runtime
 
 namespace wmatch::exact {
 
@@ -29,50 +22,20 @@ struct HopcroftKarpResult {
   std::size_t phases = 0;  ///< phases actually executed
 };
 
-/// How the per-phase BFS tracks its frontier and claimed sets.
-///   kBitset — word-parallel: 64 vertices per uint64_t word, right
-///             vertices claimed with an atomic fetch_or, frontier chunked
-///             over whole words. The production mode.
-///   kScalar — one-vertex-at-a-time frontier vectors with a CAS on
-///             dist[] as the claim. Kept as the reference implementation
-///             for the bit-identity tests and bench_micro_kernels.
-/// Both modes produce identical dist labels (each claim contender writes
-/// the same level value), so the solve result never depends on the mode.
-enum class HkFrontier { kBitset, kScalar };
-
 /// `side[v]` is 0 (left) or 1 (right); every edge must cross sides.
 /// `max_phases == 0` means run to optimality.
 /// `initial`, when provided, seeds the matching (must be valid in g and
 /// respect the bipartition).
-/// `rt` selects the host threads for the per-phase BFS layer construction
-/// and the speculative DFS augmentation batch; the result (matching and
-/// phase count) is bit-identical for any thread count, frontier mode, and
-/// scratch arena.
-/// `scratch`, when provided, backs the per-invocation O(n) scratch
-/// (dist/match/bitset words) — reclaimed wholesale by Arena::reset(), so
-/// repeated invocations from a forked class matcher stop hitting the
-/// heap. Allocations happen on the calling thread only.
+/// Each phase is a BFS that labels every alternating level reachable from
+/// the free left vertices, then one DFS per free left root in vertex
+/// order, following CSR incident order. The DFS roots augment along a
+/// maximal set of vertex-disjoint paths of the level graph, so every phase
+/// lengthens the shortest augmenting path by at least two (Fact 1.3's
+/// bound). The result is a pure function of the inputs.
 HopcroftKarpResult hopcroft_karp(const GraphView& g,
                                  const std::vector<char>& side,
                                  std::size_t max_phases = 0,
-                                 const Matching* initial = nullptr,
-                                 const runtime::RuntimeConfig& rt = {},
-                                 runtime::Arena* scratch = nullptr,
-                                 HkFrontier frontier = HkFrontier::kBitset);
-
-/// One level-synchronous BFS layering pass over alternating paths from
-/// free left vertices: fills `dist` (kInf = unreached; free left roots 0,
-/// claimed right vertices odd levels, their mates even) and returns
-/// whether a free right vertex is reachable. `match_edge[v]` is the
-/// incident matched edge id or UINT32_MAX. Exposed so the bit-identity
-/// tests and bench_micro_kernels can run both frontier modes on one
-/// layering problem; hopcroft_karp() calls this once per phase.
-bool hk_bfs_layering(const GraphView& g,
-                     std::span<const std::uint32_t> match_edge,
-                     std::span<const char> in_left,
-                     std::span<std::uint32_t> dist,
-                     runtime::ThreadPool& pool, HkFrontier frontier,
-                     runtime::Arena* scratch = nullptr);
+                                 const Matching* initial = nullptr);
 
 /// Attempts a 2-coloring of g; returns empty vector if g is not bipartite.
 std::vector<char> bipartition_of(const GraphView& g);

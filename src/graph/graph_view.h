@@ -62,8 +62,7 @@ class GraphView {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  /// Raw CSR arrays, for kernel code that walks slots directly
-  /// (bench_micro_kernels, the HK frontier expansion).
+  /// Raw CSR arrays, for code that walks slots directly.
   std::span<const std::uint32_t> offsets() const { return offsets_; }
   std::span<const Vertex> neighbor_slots() const { return neighbor_; }
   std::span<const std::uint32_t> edge_id_slots() const { return edge_id_; }

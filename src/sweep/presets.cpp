@@ -147,8 +147,8 @@ SweepSpec e5_preset() {
 /// MPC + offline reduction solvers on random AND adversarial (hard-*)
 /// families. Every counter in the emitted BENCH_ci.json is a
 /// deterministic function of the seed (and invariant under --threads, now
-/// including the parallelized per-class loop and Hopcroft-Karp layers),
-/// so the gate diffs them exactly against bench/baselines/ci_baseline.json.
+/// including the parallelized per-class loop), so the gate diffs them
+/// exactly against bench/baselines/ci_baseline.json.
 SweepSpec ci_preset() {
   SweepSpec s;
   s.name = "ci";

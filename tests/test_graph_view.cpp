@@ -1,30 +1,17 @@
-// GraphView construction edge cases, CSR invariants, and bit-identity of
-// the two Hopcroft-Karp frontier modes (ISSUE 9 satellite).
+// GraphView construction edge cases and CSR invariants.
 //
-// The CSR fill order is a documented contract (graph_view.h): slot order
-// replicates the old lazy adjacency build bit for bit, so these tests pin
-// it down — per-vertex incident edge ids ascending, slot-parallel arrays
-// consistent with the edge list — and then check that the bitset and
-// scalar BFS frontiers produce identical dist labels and identical solves
-// on the planted hard families at several thread counts.
+// The CSR fill order is a documented contract (graph_view.h): per-vertex
+// incident edge ids ascend and the slot-parallel arrays agree with the
+// edge list. Traversal-order-dependent results (Hopcroft-Karp's DFS among
+// them) rely on it, so these tests pin it down.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
-
-#include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
-#include "gen/hard_instances.h"
 #include "graph/graph_view.h"
-#include "runtime/arena.h"
-#include "runtime/runtime.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace wmatch {
 namespace {
-
-constexpr std::uint32_t kUnreached = 0xffffffffu;
 
 TEST(GraphView, DefaultViewIsEmpty) {
   GraphView v;
@@ -75,7 +62,7 @@ TEST(GraphView, SingleEdgeSlotArrays) {
 }
 
 TEST(GraphView, MaxDegreeStar) {
-  // A star crossing the 64-vertex bitset-word boundary: center degree 64.
+  // A 64-leaf star: the center's slots follow insertion order.
   const std::size_t leaves = 64;
   Graph g(leaves + 1);
   for (std::size_t i = 0; i < leaves; ++i) {
@@ -149,146 +136,6 @@ TEST(GraphView, FreezeByValueLeavesLvalueBuilderReusable) {
   EXPECT_EQ(after.num_edges(), 2u);
   EXPECT_EQ(before.degree(1), 1u);
   EXPECT_EQ(after.degree(1), 2u);
-}
-
-// ---- Bitset vs scalar frontier bit-identity --------------------------------
-
-struct LayeringProblem {
-  GraphView g;
-  std::vector<std::uint32_t> match_edge;
-  std::vector<char> in_left;
-  std::vector<char> side;
-};
-
-// Builds the BFS layering inputs from a planted instance: the planted
-// matching becomes match_edge[], the 2-coloring from bipartition_of
-// becomes side/in_left. Returns false when the instance is not bipartite.
-bool make_problem(const gen::PlantedInstance& inst, LayeringProblem* out) {
-  out->g = freeze(inst.graph);
-  out->side = exact::bipartition_of(out->g);
-  if (out->side.empty()) return false;
-  out->in_left.assign(out->side.begin(), out->side.end());
-  for (char& c : out->in_left) c = static_cast<char>(1 - c);  // side 0 = left
-  out->match_edge.assign(out->g.num_vertices(), UINT32_MAX);
-  auto edges = out->g.edges();
-  for (std::uint32_t i = 0; i < edges.size(); ++i) {
-    if (inst.matching.contains(edges[i].u, edges[i].v)) {
-      out->match_edge[edges[i].u] = i;
-      out->match_edge[edges[i].v] = i;
-    }
-  }
-  return true;
-}
-
-std::vector<gen::PlantedInstance> hard_families() {
-  std::vector<gen::PlantedInstance> fams;
-  fams.push_back(gen::four_cycle_family(9, 2, 3));
-  fams.push_back(gen::greedy_trap_paths(11, 4, 3));
-  fams.push_back(gen::long_path_family(5, 4, 2, 9));
-  fams.push_back(gen::figure1_example());
-  fams.push_back(gen::figure2_example());
-  return fams;
-}
-
-// Both frontier modes must write the exact same dist labels (the claim
-// contenders all write the same level value), for every thread count.
-TEST(HkFrontierBitIdentity, LayeringDistLabelsMatchOnHardFamilies) {
-  const auto fams = hard_families();
-  for (std::size_t fam = 0; fam < fams.size(); ++fam) {
-    LayeringProblem p;
-    if (!make_problem(fams[fam], &p)) continue;
-    const std::size_t n = p.g.num_vertices();
-    std::vector<std::uint32_t> ref(n, kUnreached);
-    auto& serial = runtime::pool_for(runtime::RuntimeConfig{1});
-    const bool ref_hit = exact::hk_bfs_layering(
-        p.g, p.match_edge, p.in_left, ref, serial, exact::HkFrontier::kScalar);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      auto& pool = runtime::pool_for(runtime::RuntimeConfig{threads});
-      for (auto mode : {exact::HkFrontier::kScalar, exact::HkFrontier::kBitset}) {
-        std::vector<std::uint32_t> dist(n, kUnreached);
-        const bool hit =
-            exact::hk_bfs_layering(p.g, p.match_edge, p.in_left, dist, pool, mode);
-        EXPECT_EQ(hit, ref_hit) << "family " << fam << " threads " << threads;
-        for (std::size_t v = 0; v < n; ++v) {
-          ASSERT_EQ(dist[v], ref[v])
-              << "family " << fam << " threads " << threads << " vertex " << v
-              << " mode " << (mode == exact::HkFrontier::kBitset ? "bitset"
-                                                                 : "scalar");
-        }
-      }
-    }
-  }
-}
-
-// Full solves agree across modes, thread counts, and scratch arenas, with
-// and without the planted matching as the seed.
-TEST(HkFrontierBitIdentity, FullSolveMatchesAcrossModesAndThreads) {
-  const auto fams = hard_families();
-  for (std::size_t fam = 0; fam < fams.size(); ++fam) {
-    const gen::PlantedInstance& inst = fams[fam];
-    LayeringProblem p;
-    if (!make_problem(inst, &p)) continue;
-    for (const Matching* seed : {static_cast<const Matching*>(nullptr),
-                                 &inst.matching}) {
-      auto ref = exact::hopcroft_karp(p.g, p.side, 0, seed,
-                                      runtime::RuntimeConfig{1}, nullptr,
-                                      exact::HkFrontier::kScalar);
-      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        runtime::Arena arena;
-        for (auto mode :
-             {exact::HkFrontier::kScalar, exact::HkFrontier::kBitset}) {
-          auto got = exact::hopcroft_karp(p.g, p.side, 0, seed,
-                                          runtime::RuntimeConfig{threads},
-                                          &arena, mode);
-          EXPECT_EQ(got.phases, ref.phases) << "family " << fam;
-          EXPECT_EQ(got.matching, ref.matching)
-              << "family " << fam << " threads " << threads;
-          arena.reset();
-        }
-      }
-    }
-  }
-}
-
-// A deeper layering on a random bipartite instance seeded with a maximal
-// (not maximum) greedy matching, so several BFS levels exist and the
-// bitset word-parallel frontier crosses word boundaries.
-TEST(HkFrontierBitIdentity, DeepLayeringOnRandomBipartite) {
-  Rng rng(23);
-  const std::size_t half = 300;
-  Graph g = gen::random_bipartite(half, half, 2400, rng);
-  LayeringProblem p;
-  p.g = freeze(g);
-  p.side = exact::bipartition_of(p.g);
-  ASSERT_FALSE(p.side.empty());
-  p.in_left.assign(p.side.begin(), p.side.end());
-  for (char& c : p.in_left) c = static_cast<char>(1 - c);
-  // Greedy maximal matching in edge order — leaves augmenting paths behind.
-  p.match_edge.assign(p.g.num_vertices(), UINT32_MAX);
-  auto edges = p.g.edges();
-  for (std::uint32_t i = 0; i < edges.size(); ++i) {
-    if (p.match_edge[edges[i].u] == UINT32_MAX &&
-        p.match_edge[edges[i].v] == UINT32_MAX) {
-      p.match_edge[edges[i].u] = i;
-      p.match_edge[edges[i].v] = i;
-    }
-  }
-  const std::size_t n = p.g.num_vertices();
-  std::vector<std::uint32_t> ref(n, kUnreached);
-  auto& serial = runtime::pool_for(runtime::RuntimeConfig{1});
-  exact::hk_bfs_layering(p.g, p.match_edge, p.in_left, ref, serial,
-                         exact::HkFrontier::kScalar);
-  std::size_t reached = 0;
-  for (std::uint32_t d : ref) reached += (d != kUnreached);
-  EXPECT_GT(reached, 0u);  // the layering actually did work
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    auto& pool = runtime::pool_for(runtime::RuntimeConfig{threads});
-    for (auto mode : {exact::HkFrontier::kScalar, exact::HkFrontier::kBitset}) {
-      std::vector<std::uint32_t> dist(n, kUnreached);
-      exact::hk_bfs_layering(p.g, p.match_edge, p.in_left, dist, pool, mode);
-      EXPECT_EQ(dist, ref) << "threads " << threads;
-    }
-  }
 }
 
 }  // namespace

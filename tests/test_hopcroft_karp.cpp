@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <queue>
+#include <vector>
+
 #include "exact/brute_force.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
@@ -12,6 +16,41 @@ std::vector<char> sides_by_cut(std::size_t n_left, std::size_t n) {
   std::vector<char> side(n, 1);
   for (std::size_t v = 0; v < n_left; ++v) side[v] = 0;
   return side;
+}
+
+// Length (in edges) of the shortest augmenting path of `m` in g, or
+// SIZE_MAX if there is none: a plain alternating BFS from every free left
+// vertex over an adjacency list of its own, independent of hopcroft_karp.
+std::size_t shortest_augmenting_path(const Graph& g,
+                                     const std::vector<char>& side,
+                                     const Matching& m) {
+  std::vector<std::vector<Vertex>> adj(g.num_vertices());
+  for (const Edge& e : g.edges()) {
+    adj[e.u].push_back(e.v);
+    adj[e.v].push_back(e.u);
+  }
+  std::vector<std::size_t> dist(g.num_vertices(), SIZE_MAX);
+  std::queue<Vertex> q;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (side[v] == 0 && !m.is_matched(v)) {
+      dist[v] = 0;
+      q.push(v);
+    }
+  }
+  while (!q.empty()) {
+    const Vertex v = q.front();
+    q.pop();
+    for (Vertex u : adj[v]) {
+      if (m.mate(v) == u || dist[u] != SIZE_MAX) continue;
+      dist[u] = dist[v] + 1;
+      // BFS discovers vertices by nondecreasing distance, so the first
+      // free right vertex ends a shortest augmenting path.
+      if (!m.is_matched(u)) return dist[u];
+      dist[m.mate(u)] = dist[u] + 1;
+      q.push(m.mate(u));
+    }
+  }
+  return SIZE_MAX;
 }
 
 TEST(HopcroftKarp, PerfectMatchingOnCompleteBipartite) {
@@ -86,22 +125,43 @@ TEST(HopcroftKarp, InitialMatchingNotInGraphRejected) {
                std::invalid_argument);
 }
 
-TEST(HopcroftKarp, ResultIsInvariantAcrossThreadCounts) {
-  // The parallel BFS layers and the speculative DFS batch must produce
-  // the exact matching and phase count of the sequential path: the
-  // snapshot speculation is thread-independent and commits are ordered.
-  Rng rng(13);
-  Graph g = gen::random_bipartite(120, 120, 900, rng);
-  auto side = sides_by_cut(120, 240);
-  for (std::size_t max_phases : {std::size_t{0}, std::size_t{2}}) {
-    auto base = exact::hopcroft_karp(freeze(g), side, max_phases, nullptr,
-                                     runtime::RuntimeConfig{1});
-    for (std::size_t threads : {2u, 8u}) {
-      auto r = exact::hopcroft_karp(freeze(g), side, max_phases, nullptr,
-                                    runtime::RuntimeConfig{threads});
-      EXPECT_EQ(r.phases, base.phases) << threads;
-      EXPECT_EQ(r.matching, base.matching) << threads;
+TEST(HopcroftKarp, EveryPhaseLengthensTheShortestAugmentingPath) {
+  // Fact 1.3's premise: each phase augments along a maximal set of
+  // disjoint level-graph paths, so after k phases that all ran, no
+  // augmenting path shorter than 2k+1 is left.
+  Rng rng(41);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t nl = 20 + rng.next_below(41);
+    const std::size_t nr = 20 + rng.next_below(41);
+    const std::size_t m = (nl + nr) * (1 + rng.next_below(3));
+    const Graph g = gen::random_bipartite(nl, nr, m, rng);
+    const auto side = sides_by_cut(nl, nl + nr);
+    for (std::size_t k = 1; k <= 4; ++k) {
+      const auto r = exact::hopcroft_karp(freeze(g), side, k);
+      if (r.phases < k) break;  // optimal before k phases
+      EXPECT_GE(shortest_augmenting_path(g, side, r.matching), 2 * k + 1)
+          << "trial " << trial << " after " << k << " phases";
     }
+  }
+}
+
+TEST(HopcroftKarp, EdgeOrientationDoesNotChangeTheResult) {
+  // Edges are unordered pairs: storing every edge right-first instead of
+  // left-first (same edge order, so the same CSR slot order) must leave
+  // the matching and the phase count unchanged.
+  Rng rng(43);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t nl = 20 + rng.next_below(41);
+    const std::size_t nr = 20 + rng.next_below(41);
+    const std::size_t m = (nl + nr) * (1 + rng.next_below(3));
+    const Graph g = gen::random_bipartite(nl, nr, m, rng);
+    Graph reversed(g.num_vertices());
+    for (const Edge& e : g.edges()) reversed.add_edge(e.v, e.u, e.w);
+    const auto side = sides_by_cut(nl, nl + nr);
+    const auto a = exact::hopcroft_karp(freeze(g), side);
+    const auto b = exact::hopcroft_karp(freeze(reversed), side);
+    EXPECT_EQ(a.phases, b.phases) << "trial " << trial;
+    EXPECT_EQ(a.matching, b.matching) << "trial " << trial;
   }
 }
 

@@ -73,8 +73,8 @@ TEST(SweepRunner, UnknownSolverThrows) {
 // The acceptance contract: exact counters in the emitted results are
 // bit-identical across thread counts at equal seed — only wall clock may
 // differ. Covers the parallelized reduction solvers (per-class loop +
-// Hopcroft-Karp layers) at 1 / 2 / 8 threads, including the now-metered
-// reduction-hk memory column.
+// layered-graph gap filter) at 1 / 2 / 8 threads, including the
+// now-metered reduction-hk memory column.
 TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"greedy", "rand-arrival", "reduction-hk", "reduction-mpc",
