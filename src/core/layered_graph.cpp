@@ -2,14 +2,24 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "util/require.h"
 
 namespace wmatch::core {
+
+namespace {
+
+/// The matched-edge bucket of weight w: ceil(w / U), i.e. the a with
+/// w in ((a-1)U, aU].
+Weight matched_units(Weight w, Weight unit) { return (w + unit - 1) / unit; }
+
+/// Builds whose gaps hold fewer candidate Y edges than this filter them
+/// inline; below it the pool hand-off costs more than the filter.
+constexpr std::size_t kPoolGapWork = 4096;
+
+}  // namespace
 
 Parametrization random_parametrization(std::size_t n, Rng& rng) {
   Parametrization side(n);
@@ -43,7 +53,7 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
   out.matched.assign(static_cast<std::size_t>(umax) + 1, {});
   out.unmatched.assign(static_cast<std::size_t>(umax) + 1, {});
   for (const Edge& e : edges.matched) {
-    Weight units = (e.w + unit - 1) / unit;  // ceil: w in ((a-1)U, aU]
+    Weight units = matched_units(e.w, unit);
     if (units >= 1 && units <= umax) {
       out.matched[static_cast<std::size_t>(units)].push_back(e);
     }
@@ -101,26 +111,21 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     }
   }
 
-  // Matched-vertex presence per layer, keyed by t*n + v. Hash maps keep
-  // the per-pair cost proportional to the bucket sizes, not to n.
-  std::unordered_set<std::uint64_t> x_present;
-  for (std::size_t t = 0; t < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      x_present.insert(static_cast<std::uint64_t>(t) * n + e.u);
-      x_present.insert(static_cast<std::uint64_t>(t) * n + e.v);
-    }
-  }
-
+  // Presence of v in layer t, by its own matched edge. A layer with
+  // tau_a > 0 keeps the matched crossing edges of bucket tau_a, and in a
+  // simple graph v has at most one matched edge, M(v); so v is present iff
+  // M(v) exists, crosses the bipartition and lies in that bucket. An
+  // endpoint layer with tau_a = 0 keeps the M-free vertices of its side.
   auto present = [&](std::size_t t, Vertex v) -> bool {
-    if (x_present.count(static_cast<std::uint64_t>(t) * n + v)) return true;
-    if (t == 0) {
-      return par[v] == 1 && !m.is_matched(v) && tau.tau_a[0] == 0;
+    const int a = tau.tau_a[t];
+    if (a > 0) {
+      const Vertex mate = m.mate(v);
+      return mate != kNoVertex && par[v] != par[mate] &&
+             matched_units(m.weight_at(v), edges.unit) == a;
     }
-    if (t == k) {
-      return par[v] == 0 && !m.is_matched(v) && tau.tau_a[k] == 0;
-    }
+    if (a < 0 || m.is_matched(v)) return false;
+    if (t == 0) return par[v] == 1;
+    if (t == k) return par[v] == 0;
     return false;  // intermediate layers require a kept matched edge
   };
 
@@ -130,76 +135,73 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     Weight w;
     bool between;
   };
-  std::vector<RawEdge> raw;
-
-  // Intermediate X edges (first/last-layer matched edges belong to L but
-  // are removed in L').
-  for (std::size_t t = 1; t + 1 < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      raw.push_back({t, t, e.u, e.v, e.w, false});
-    }
-  }
 
   // Y edges between consecutive layers (u in R at t, v in L at t+1). The
-  // gaps are independent and read-only over x_present/m/par, so they are
-  // filtered on the thread pool; per-gap results are concatenated in gap
-  // order, which keeps the construction schedule-independent. Small builds
-  // run inline — the output never depends on the pool, only the wall
-  // clock does.
+  // gaps are independent and read-only over m/par; per-gap results are
+  // concatenated in gap order, which keeps the construction
+  // schedule-independent. Large builds filter the gaps on the thread pool;
+  // small ones, and any build under a one-thread runtime, run inline
+  // without touching the pool registry. The output never depends on the
+  // pool, only the wall clock does.
+  auto filter_gaps = [&](std::size_t lo, std::size_t hi) {
+    std::vector<RawEdge> part;
+    for (std::size_t t = lo; t < hi; ++t) {
+      int b = tau.tau_b[t];
+      for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
+        if (!present(t, e.u) || !present(t + 1, e.v)) continue;
+        part.push_back({t, t + 1, e.u, e.v, e.w, true});
+      }
+    }
+    return part;
+  };
   std::size_t gap_work = 0;
   for (int b : tau.tau_b) {
     gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
   }
-  runtime::ThreadPool& pool = runtime::pool_for(
-      gap_work >= 4096 ? rt : runtime::RuntimeConfig{1});
-  std::vector<RawEdge> yedges = runtime::parallel_reduce(
-      pool, k, 1, std::vector<RawEdge>{},
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<RawEdge> part;
-        for (std::size_t t = lo; t < hi; ++t) {
-          int b = tau.tau_b[t];
-          for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
-            if (!present(t, e.u) || !present(t + 1, e.v)) continue;
-            part.push_back({t, t + 1, e.u, e.v, e.w, true});
-          }
-        }
-        return part;
-      },
-      [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
-        if (acc.empty()) return part;  // move, don't copy (single chunk)
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
-  const std::size_t between = yedges.size();
-  // raw (intermediate X edges) and yedges stay separate vectors — the Y
-  // set dominates and appending it to raw would copy it once more per
-  // tau-pair build.
+  std::vector<RawEdge> yedges;
+  if (gap_work < kPoolGapWork ||
+      runtime::resolve_num_threads(rt.num_threads) == 1) {
+    yedges = filter_gaps(0, k);
+  } else {
+    yedges = runtime::parallel_reduce(
+        runtime::pool_for(rt), k, 1, std::vector<RawEdge>{}, filter_gaps,
+        [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
+          if (acc.empty()) return part;  // move, don't copy (single chunk)
+          acc.insert(acc.end(), part.begin(), part.end());
+          return acc;
+        });
+  }
+  out.num_between_edges = yedges.size();
+  if (yedges.empty()) return out;
+
+  // Intermediate X edges (first/last-layer matched edges belong to L but
+  // are removed in L'). They are kept apart from yedges: the Y set
+  // dominates, and appending it would copy it once more per build.
+  std::vector<RawEdge> xedges;
+  for (std::size_t t = 1; t + 1 < layers; ++t) {
+    int a = tau.tau_a[t];
+    if (a <= 0) continue;
+    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+      xedges.push_back({t, t, e.u, e.v, e.w, false});
+    }
+  }
   auto for_each_raw = [&](auto&& f) {
-    for (const RawEdge& e : raw) f(e);
+    for (const RawEdge& e : xedges) f(e);
     for (const RawEdge& e : yedges) f(e);
   };
 
-  out.num_between_edges = between;
-  if (between == 0) {
-    out.num_between_edges = 0;
-    return out;
-  }
-
-  // Compress the (layer, vertex) pairs that occur on at least one edge.
-  std::unordered_map<std::uint64_t, std::uint32_t> id;
-  id.reserve((raw.size() + yedges.size()) * 2);
-  auto intern = [&](std::size_t t, Vertex v) -> std::uint32_t {
-    auto [it, inserted] = id.try_emplace(
-        static_cast<std::uint64_t>(t) * n + v,
-        static_cast<std::uint32_t>(out.original.size()));
-    if (inserted) {
-      out.original.push_back(v);
-      out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
-      out.side.push_back(par[v]);
-    }
-    return it->second;
+  // Compress the (layer, vertex) pairs that occur on at least one edge,
+  // numbered in first-occurrence order (X edges, then Y edges) through a
+  // dense table indexed by t*n + v.
+  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> id(layers * n, kUnset);
+  auto intern = [&](std::size_t t, Vertex v) {
+    std::uint32_t& slot = id[t * n + v];
+    if (slot != kUnset) return;
+    slot = static_cast<std::uint32_t>(out.original.size());
+    out.original.push_back(v);
+    out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
+    out.side.push_back(par[v]);
   };
   for_each_raw([&](const RawEdge& e) {
     intern(e.tu, e.u);
@@ -209,8 +211,8 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
   Graph lp(out.original.size());
   Matching ml(out.original.size());
   for_each_raw([&](const RawEdge& e) {
-    std::uint32_t cu = id[static_cast<std::uint64_t>(e.tu) * n + e.u];
-    std::uint32_t cv = id[static_cast<std::uint64_t>(e.tv) * n + e.v];
+    std::uint32_t cu = id[e.tu * n + e.u];
+    std::uint32_t cv = id[e.tv * n + e.v];
     lp.add_edge(cu, cv, e.w);
     if (!e.between) ml.add(cu, cv, e.w);
   });

@@ -75,9 +75,11 @@ struct BucketedEdges {
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
 /// Builds the layered graph L' for one good pair over pre-bucketed edges.
-/// The per-gap candidate filtering (the dominant cost) runs on the runtime
-/// thread pool selected by `rt`; the output is identical for any thread
-/// count.
+/// `m` must be a matching of the simple graph whose crossing edges were
+/// bucketed: a vertex's presence in a layer is read from its own matched
+/// edge M(v). Builds with at least 4096 candidate Y edges filter the gaps
+/// on the runtime thread pool selected by `rt`; smaller ones run inline.
+/// The output is identical for any thread count.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_set>
 
 #include "util/require.h"
 
@@ -64,6 +65,29 @@ std::vector<int> with_zero(const std::vector<int>& vals) {
   out.insert(out.end(), vals.begin(), vals.end());
   return out;
 }
+
+// Hash and equality over indices into a pair list, for deduplicating it
+// in place.
+struct PairHash {
+  const std::vector<TauPair>* pairs;
+  std::size_t operator()(std::size_t i) const {
+    const TauPair& p = (*pairs)[i];
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the thresholds
+    auto mix = [&h](int x) {
+      h = (h ^ static_cast<std::uint32_t>(x)) * 0x100000001b3ULL;
+    };
+    for (int a : p.tau_a) mix(a);
+    for (int b : p.tau_b) mix(b);
+    return static_cast<std::size_t>(h);
+  }
+};
+
+struct PairEq {
+  const std::vector<TauPair>* pairs;
+  bool operator()(std::size_t i, std::size_t j) const {
+    return (*pairs)[i] == (*pairs)[j];
+  }
+};
 
 }  // namespace
 
@@ -137,54 +161,70 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
     }
   }
 
-  // --- Priority 4: random samples of the general 3-layer space. ---
+  // Past the exhaustive part, keep the first occurrence of each pair
+  // (priority 3's 3-layer free-ends profile repeats a priority-2 pair).
+  // `seen` holds indices into `out`, so it stores no copy of a pair.
+  std::unordered_set<std::size_t, PairHash, PairEq> seen(
+      out.size(), PairHash{&out}, PairEq{&out});
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i != kept) out[kept] = std::move(out[i]);
+    if (seen.insert(kept).second) ++kept;
+  }
+  // Accepted pairs so far, duplicates included: the sampling budgets and
+  // the cap are counted in these, not in distinct pairs.
+  std::size_t raw = out.size();
+  out.resize(kept);
+
+  // Priorities 4 and 5 draw each trial into the scratch buffers `ta`,
+  // `tb`. Sampled values already satisfy (A)-(D), so a trial is good iff
+  // (E) and (F) hold, and only an accepted trial becomes a TauPair.
+  std::vector<int> ta, tb;
+  // Accepts the trial in ta/tb if it is good; true once the cap is hit.
+  auto accept = [&]() {
+    const int sum_a = std::accumulate(ta.begin(), ta.end(), 0);
+    const int sum_b = std::accumulate(tb.begin(), tb.end(), 0);
+    if (sum_b > umax || sum_b - sum_a < 1) return false;
+    out.push_back({ta, tb});
+    WMATCH_ASSERT(is_good_pair(out.back(), cfg));
+    if (!seen.insert(out.size() - 1).second) out.pop_back();
+    return ++raw >= cfg.max_pairs;
+  };
   auto sample = [&](const std::vector<int>& vals) {
     return vals[rng.next_below(vals.size())];
   };
+
+  // --- Priority 4: random samples of the general 3-layer space. ---
   if (cfg.max_layers >= 3 && !a_vals.empty()) {
-    std::size_t budget =
-        cfg.max_pairs > out.size() ? (cfg.max_pairs - out.size()) / 2 : 0;
+    const std::size_t budget =
+        cfg.max_pairs > raw ? (cfg.max_pairs - raw) / 2 : 0;
+    ta.resize(3);
+    tb.resize(2);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      TauPair pair{{sample(a_ends), sample(a_vals), sample(a_ends)},
-                   {sample(b_vals), sample(b_vals)}};
-      if (is_good_pair(pair, cfg)) {
-        out.push_back(std::move(pair));
-        if (out.size() >= cfg.max_pairs) break;
-      }
+      ta[0] = sample(a_ends);
+      ta[1] = sample(a_vals);
+      ta[2] = sample(a_ends);
+      tb[0] = sample(b_vals);
+      tb[1] = sample(b_vals);
+      if (accept()) break;
     }
   }
 
   // --- Priority 5: random non-uniform deep profiles. ---
   if (cfg.max_layers >= 4 && !a_vals.empty()) {
-    std::size_t budget =
-        cfg.max_pairs > out.size() ? cfg.max_pairs - out.size() : 0;
+    const std::size_t budget = cfg.max_pairs > raw ? cfg.max_pairs - raw : 0;
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      std::size_t layers = 4 + rng.next_below(cfg.max_layers - 3);
-      TauPair pair;
-      pair.tau_a.resize(layers);
-      pair.tau_b.resize(layers - 1);
-      pair.tau_a.front() = sample(a_ends);
-      pair.tau_a.back() = sample(a_ends);
-      for (std::size_t t = 1; t + 1 < layers; ++t) {
-        pair.tau_a[t] = sample(a_vals);
-      }
-      for (auto& b : pair.tau_b) b = sample(b_vals);
-      if (is_good_pair(pair, cfg)) {
-        out.push_back(std::move(pair));
-        if (out.size() >= cfg.max_pairs) break;
-      }
+      const std::size_t layers = 4 + rng.next_below(cfg.max_layers - 3);
+      ta.resize(layers);
+      tb.resize(layers - 1);
+      ta.front() = sample(a_ends);
+      ta.back() = sample(a_ends);
+      for (std::size_t t = 1; t + 1 < layers; ++t) ta[t] = sample(a_vals);
+      for (int& b : tb) b = sample(b_vals);
+      if (accept()) break;
     }
   }
-
-  // De-duplicate, preserving priority order.
-  std::vector<TauPair> dedup;
-  dedup.reserve(out.size());
-  for (auto& p : out) {
-    if (std::find(dedup.begin(), dedup.end(), p) == dedup.end()) {
-      dedup.push_back(std::move(p));
-    }
-  }
-  return dedup;
+  return out;
 }
 
 std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng) {

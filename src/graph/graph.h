@@ -30,7 +30,10 @@ class Graph {
   std::span<const Edge> edges() const { return edges_; }
   const Edge& edge(std::size_t i) const { return edges_[i]; }
 
-  /// Appends an edge (same validation as the constructor).
+  /// Appends an edge. Rejects self-loops, out-of-range endpoints and
+  /// non-positive weights, but, unlike the constructor, does not look for
+  /// duplicate (parallel) edges: callers that need a simple graph check
+  /// that themselves.
   void add_edge(Vertex u, Vertex v, Weight w);
 
   /// Total weight of all edges.

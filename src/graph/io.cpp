@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/require.h"
 
@@ -51,6 +52,7 @@ Graph read_graph(std::istream& is) {
   Header h = read_header(is, line_no);
   if (h.kind != "wmatch") parse_error(line_no, "expected kind 'wmatch'");
   Graph g(h.n);
+  std::unordered_set<std::uint64_t> seen;
   std::string line;
   std::size_t edges = 0;
   while (edges < h.count && std::getline(is, line)) {
@@ -67,6 +69,11 @@ Graph read_graph(std::istream& is) {
       g.add_edge(u, v, w);
     } catch (const std::invalid_argument& ex) {
       parse_error(line_no, ex.what());
+    }
+    // add_edge does not look for parallel edges; the solvers assume a
+    // simple graph, so a repeated pair (either orientation) is an error.
+    if (!seen.insert(Edge{u, v, w}.key()).second) {
+      parse_error(line_no, "duplicate edge");
     }
     ++edges;
   }

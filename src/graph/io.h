@@ -6,8 +6,9 @@
 // Matchings serialize as:
 //   p matching <n> <k>
 //   m <u> <v> <w>
-// Lines starting with 'c' are comments. Parsing is strict: malformed input
-// throws std::invalid_argument with a line number.
+// Lines starting with 'c' are comments. Parsing is strict: malformed input,
+// including an edge listed twice (in either orientation), throws
+// std::invalid_argument with a line number.
 #pragma once
 
 #include <iosfwd>

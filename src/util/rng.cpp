@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,26 +21,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  WMATCH_REQUIRE(bound > 0, "next_below requires positive bound");
-  // Lemire rejection-free-ish method with rejection for exactness.
-  std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
-  for (;;) {
-    std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
+void Rng::zero_bound() {
+  require_failed("bound > 0", __FILE__, __LINE__,
+                 "next_below requires positive bound");
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

@@ -17,8 +17,19 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Uniform 64-bit value.
-  std::uint64_t next();
+  /// Uniform 64-bit value. Defined here (like next_below) so the hot
+  /// sampling loops inline it.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// UniformRandomBitGenerator interface (usable with <random> and
   /// std::shuffle).
@@ -26,8 +37,17 @@ class Rng {
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
 
-  /// Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  /// Uniform integer in [0, bound). bound must be > 0 (a zero bound
+  /// throws std::invalid_argument).
+  std::uint64_t next_below(std::uint64_t bound) {
+    if (bound == 0) zero_bound();
+    // Lemire rejection-free-ish method with rejection for exactness.
+    std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+    for (;;) {
+      std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
@@ -53,6 +73,11 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  [[noreturn]] static void zero_bound();
+
   std::uint64_t s_[4];
 };
 

@@ -84,6 +84,11 @@ expect_error 2 "parse error at line" \
 printf 'not a graph at all\n' > "$tmpdir/garbage.graph"
 expect_error 2 "parse error" \
   solve --algo=greedy --input="$tmpdir/garbage.graph"
+# a parallel edge (here in reversed orientation) is rejected up front:
+# the solvers assume a simple graph
+printf 'p wmatch 4 3\ne 0 1 5\ne 1 2 3\ne 1 0 7\n' > "$tmpdir/parallel.graph"
+expect_error 2 "parse error at line 4: duplicate edge" \
+  solve --algo=reduction-hk --input="$tmpdir/parallel.graph"
 
 # batch / serve (ISSUE 5): flag misuse and malformed JSONL job lines are
 # usage errors; a valid job file runs clean.

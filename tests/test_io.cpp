@@ -78,6 +78,28 @@ TEST(Io, InvalidEdgeReportsLine) {
   }
 }
 
+TEST(Io, DuplicateEdgeReportsLine) {
+  struct Case {
+    const char* text;
+    const char* line;
+  };
+  // A parallel copy with another weight, and the reversed orientation
+  // (the same undirected edge) after a comment line.
+  for (const Case& c : {Case{"p wmatch 3 2\ne 0 1 4\ne 0 1 5\n", "line 3"},
+                        Case{"p wmatch 3 2\ne 0 1 4\nc x\ne 1 0 4\n",
+                             "line 4"}}) {
+    std::stringstream ss(c.text);
+    try {
+      io::read_graph(ss);
+      FAIL() << "expected throw for: " << c.text;
+    } catch (const std::invalid_argument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find("duplicate edge"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.line), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Io, MatchingInconsistentWithGraphThrows) {
   Graph g(4);
   g.add_edge(0, 1, 5);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include "core/layered_graph.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
+#include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -204,6 +210,234 @@ TEST(LayeredGraphRandom, StructuralInvariants) {
     EXPECT_EQ(x_edges, lg.ml.size());
   }
   EXPECT_GT(checked, 0u);
+}
+
+// The previous build_layered_graph, kept verbatim as the exactness
+// reference: layer presence from a hash set of the kept matched edges'
+// endpoints, and (layer, vertex) interning through a hash map.
+LayeredGraph reference_build(const core::BucketedEdges& edges,
+                             const Matching& m, const Parametrization& par,
+                             const TauPair& tau, std::size_t n,
+                             const runtime::RuntimeConfig& rt) {
+  const std::size_t layers = tau.num_layers();
+  const std::size_t k = layers - 1;
+  const int umax = static_cast<int>(edges.matched.size()) - 1;
+
+  LayeredGraph out;
+  out.layers = layers;
+
+  for (std::size_t t = 0; t < layers; ++t) {
+    int a = tau.tau_a[t];
+    if (a > umax) return out;
+    if (a > 0 && edges.matched[static_cast<std::size_t>(a)].empty()) {
+      return out;
+    }
+  }
+  for (int b : tau.tau_b) {
+    if (b > umax || edges.unmatched[static_cast<std::size_t>(b)].empty()) {
+      return out;
+    }
+  }
+
+  std::unordered_set<std::uint64_t> x_present;
+  for (std::size_t t = 0; t < layers; ++t) {
+    int a = tau.tau_a[t];
+    if (a <= 0) continue;
+    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+      x_present.insert(static_cast<std::uint64_t>(t) * n + e.u);
+      x_present.insert(static_cast<std::uint64_t>(t) * n + e.v);
+    }
+  }
+
+  auto present = [&](std::size_t t, Vertex v) -> bool {
+    if (x_present.count(static_cast<std::uint64_t>(t) * n + v)) return true;
+    if (t == 0) {
+      return par[v] == 1 && !m.is_matched(v) && tau.tau_a[0] == 0;
+    }
+    if (t == k) {
+      return par[v] == 0 && !m.is_matched(v) && tau.tau_a[k] == 0;
+    }
+    return false;
+  };
+
+  struct RawEdge {
+    std::size_t tu, tv;
+    Vertex u, v;
+    Weight w;
+    bool between;
+  };
+  std::vector<RawEdge> raw;
+  for (std::size_t t = 1; t + 1 < layers; ++t) {
+    int a = tau.tau_a[t];
+    if (a <= 0) continue;
+    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+      raw.push_back({t, t, e.u, e.v, e.w, false});
+    }
+  }
+
+  std::size_t gap_work = 0;
+  for (int b : tau.tau_b) {
+    gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
+  }
+  runtime::ThreadPool& pool = runtime::pool_for(
+      gap_work >= 4096 ? rt : runtime::RuntimeConfig{1});
+  std::vector<RawEdge> yedges = runtime::parallel_reduce(
+      pool, k, 1, std::vector<RawEdge>{},
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<RawEdge> part;
+        for (std::size_t t = lo; t < hi; ++t) {
+          int b = tau.tau_b[t];
+          for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
+            if (!present(t, e.u) || !present(t + 1, e.v)) continue;
+            part.push_back({t, t + 1, e.u, e.v, e.w, true});
+          }
+        }
+        return part;
+      },
+      [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
+        if (acc.empty()) return part;
+        acc.insert(acc.end(), part.begin(), part.end());
+        return acc;
+      });
+  const std::size_t between = yedges.size();
+  auto for_each_raw = [&](auto&& f) {
+    for (const RawEdge& e : raw) f(e);
+    for (const RawEdge& e : yedges) f(e);
+  };
+
+  out.num_between_edges = between;
+  if (between == 0) {
+    out.num_between_edges = 0;
+    return out;
+  }
+
+  std::unordered_map<std::uint64_t, std::uint32_t> id;
+  id.reserve((raw.size() + yedges.size()) * 2);
+  auto intern = [&](std::size_t t, Vertex v) -> std::uint32_t {
+    auto [it, inserted] = id.try_emplace(
+        static_cast<std::uint64_t>(t) * n + v,
+        static_cast<std::uint32_t>(out.original.size()));
+    if (inserted) {
+      out.original.push_back(v);
+      out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
+      out.side.push_back(par[v]);
+    }
+    return it->second;
+  };
+  for_each_raw([&](const RawEdge& e) {
+    intern(e.tu, e.u);
+    intern(e.tv, e.v);
+  });
+
+  Graph lp(out.original.size());
+  Matching ml(out.original.size());
+  for_each_raw([&](const RawEdge& e) {
+    std::uint32_t cu = id[static_cast<std::uint64_t>(e.tu) * n + e.u];
+    std::uint32_t cv = id[static_cast<std::uint64_t>(e.tv) * n + e.v];
+    lp.add_edge(cu, cv, e.w);
+    if (!e.between) ml.add(cu, cv, e.w);
+  });
+  out.lprime = GraphView(std::move(lp));
+  out.ml = std::move(ml);
+  return out;
+}
+
+std::vector<Edge> edge_list(const GraphView& g) {
+  return {g.edges().begin(), g.edges().end()};
+}
+
+// Field-by-field identity, in the order a consumer reads them.
+void expect_same_build(const LayeredGraph& got, const LayeredGraph& want) {
+  ASSERT_EQ(got.num_between_edges, want.num_between_edges);
+  ASSERT_EQ(got.layers, want.layers);
+  ASSERT_EQ(got.original, want.original);
+  ASSERT_EQ(got.layer_of, want.layer_of);
+  ASSERT_EQ(got.side, want.side);
+  ASSERT_EQ(edge_list(got.lprime), edge_list(want.lprime));
+  ASSERT_EQ(got.ml.edges(), want.ml.edges());
+}
+
+// A random matching of g: greedy over a shuffled edge order, each edge
+// taken with probability 1/2 when both ends are free.
+Matching random_matching(const Graph& g, Rng& rng) {
+  std::vector<Edge> order(g.edges().begin(), g.edges().end());
+  rng.shuffle(order);
+  Matching m(g.num_vertices());
+  for (const Edge& e : order) {
+    if (!m.is_matched(e.u) && !m.is_matched(e.v) && rng.next_bool(0.5)) {
+      m.add(e);
+    }
+  }
+  return m;
+}
+
+// build_layered_graph must reproduce the reference on every pair that
+// pairs_for_values yields, over random simple graphs, matchings,
+// bipartitions and class weights.
+TEST(LayeredGraphRandom, MatchesReferenceBuild) {
+  Rng rng(77);
+  std::size_t builds = 0, nonempty = 0;
+  for (std::size_t n : {12u, 80u}) {
+    for (int inst = 0; inst < 12; ++inst) {
+      const std::size_t max_m = n * (n - 1) / 2;
+      Graph g = gen::erdos_renyi(n, std::min<std::size_t>(max_m, 4 * n), rng);
+      g = gen::assign_weights(g, gen::WeightDist::kUniform, 100, rng);
+      const Matching m = random_matching(g, rng);
+      const Parametrization par = core::random_parametrization(n, rng);
+      core::TauConfig cfg;
+      cfg.max_layers = inst % 2 == 0 ? 4 : 6;
+      cfg.granularity = inst % 3 == 0 ? 0.25 : 0.125;
+      const Weight w_class = 1 + static_cast<Weight>(rng.next_below(100));
+      const core::BucketedEdges buckets = core::bucket_edges(
+          core::crossing_edges(freeze(g), m, par), core::quantum(w_class, cfg),
+          core::max_units(cfg));
+      for (const TauPair& tau :
+           core::pairs_for_values(buckets.matched_values(),
+                                  buckets.unmatched_values(), cfg, rng)) {
+        const LayeredGraph got =
+            core::build_layered_graph(buckets, m, par, tau, n);
+        const LayeredGraph want = reference_build(buckets, m, par, tau, n, {});
+        expect_same_build(got, want);
+        if (::testing::Test::HasFatalFailure()) return;
+        ++builds;
+        if (want.num_between_edges > 0) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(builds, 1000u);
+  EXPECT_GT(nonempty, 100u);
+}
+
+// A build large enough (>= 4096 candidate Y edges) to filter its gaps on
+// the pool: four threads, one thread and the reference must agree.
+TEST(LayeredGraphRandom, PoolPathMatchesReference) {
+  Rng rng(5);
+  Graph g = gen::random_bipartite(1000, 1000, 20000, rng);
+  const Matching m = random_matching(g, rng);
+  const Parametrization par = core::random_parametrization(2000, rng);
+  core::TauConfig cfg;
+  const core::BucketedEdges buckets = core::bucket_edges(
+      core::crossing_edges(freeze(g), m, par), core::quantum(1, cfg),
+      core::max_units(cfg));
+  std::size_t pooled = 0;
+  for (const TauPair& tau : core::pairs_for_values(
+           buckets.matched_values(), buckets.unmatched_values(), cfg, rng)) {
+    std::size_t gap_work = 0;
+    for (int b : tau.tau_b) {
+      gap_work += buckets.unmatched[static_cast<std::size_t>(b)].size();
+    }
+    if (gap_work >= 4096) ++pooled;
+    const LayeredGraph want =
+        reference_build(buckets, m, par, tau, 2000, runtime::RuntimeConfig{4});
+    expect_same_build(core::build_layered_graph(buckets, m, par, tau, 2000,
+                                                runtime::RuntimeConfig{4}),
+                      want);
+    expect_same_build(core::build_layered_graph(buckets, m, par, tau, 2000,
+                                                runtime::RuntimeConfig{1}),
+                      want);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(pooled, 0u);
 }
 
 }  // namespace

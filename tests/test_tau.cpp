@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/tau.h"
@@ -10,6 +11,123 @@ namespace {
 
 using core::TauConfig;
 using core::TauPair;
+
+// The previous pairs_for_values, kept verbatim as the exactness reference:
+// every trial builds a TauPair and is checked with is_good_pair, and the
+// duplicates are removed by an O(P^2) scan at the end.
+std::vector<TauPair> reference_pairs_for_values(
+    const std::vector<int>& a_vals_in, const std::vector<int>& b_vals_in,
+    const TauConfig& cfg, Rng& rng) {
+  using core::is_good_pair;
+  const int umax = core::max_units(cfg);
+  std::vector<int> a_vals, b_vals;
+  for (int a : a_vals_in) {
+    if (a >= 1 && a <= umax) a_vals.push_back(a);
+  }
+  for (int b : b_vals_in) {
+    if (b >= 1 && b <= umax) b_vals.push_back(b);
+  }
+  std::sort(a_vals.begin(), a_vals.end());
+  a_vals.erase(std::unique(a_vals.begin(), a_vals.end()), a_vals.end());
+  std::sort(b_vals.begin(), b_vals.end());
+  b_vals.erase(std::unique(b_vals.begin(), b_vals.end()), b_vals.end());
+
+  std::vector<TauPair> out;
+  if (b_vals.empty()) return out;
+  std::vector<int> a_ends{0};
+  a_ends.insert(a_ends.end(), a_vals.begin(), a_vals.end());
+
+  auto push_if_good = [&](TauPair pair) {
+    if (out.size() >= cfg.max_pairs) return false;
+    if (is_good_pair(pair, cfg)) out.push_back(std::move(pair));
+    return out.size() < cfg.max_pairs;
+  };
+
+  if (cfg.max_layers >= 2) {
+    for (int b1 : b_vals) {
+      for (int a1 : a_ends) {
+        for (int a2 : a_ends) {
+          if (a1 + a2 >= b1) continue;
+          if (!push_if_good({{a1, a2}, {b1}})) return out;
+        }
+      }
+    }
+  }
+
+  if (cfg.max_layers >= 3) {
+    for (int a2 : a_vals) {
+      for (int b1 : b_vals) {
+        for (int b2 : b_vals) {
+          if (b1 + b2 <= a2) continue;
+          if (!push_if_good({{0, a2, 0}, {b1, b2}})) return out;
+        }
+      }
+    }
+  }
+
+  for (std::size_t layers = 3; layers <= cfg.max_layers; ++layers) {
+    const int k = static_cast<int>(layers) - 1;
+    for (int a : a_vals) {
+      for (int b : b_vals) {
+        if (k * b > umax) continue;
+        TauPair interior;
+        interior.tau_a.assign(layers, a);
+        interior.tau_b.assign(static_cast<std::size_t>(k), b);
+        if (!push_if_good(interior)) return out;
+        TauPair free_ends = interior;
+        free_ends.tau_a.front() = 0;
+        free_ends.tau_a.back() = 0;
+        if (!push_if_good(std::move(free_ends))) return out;
+      }
+    }
+  }
+
+  auto sample = [&](const std::vector<int>& vals) {
+    return vals[rng.next_below(vals.size())];
+  };
+  if (cfg.max_layers >= 3 && !a_vals.empty()) {
+    std::size_t budget =
+        cfg.max_pairs > out.size() ? (cfg.max_pairs - out.size()) / 2 : 0;
+    for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
+      TauPair pair{{sample(a_ends), sample(a_vals), sample(a_ends)},
+                   {sample(b_vals), sample(b_vals)}};
+      if (is_good_pair(pair, cfg)) {
+        out.push_back(std::move(pair));
+        if (out.size() >= cfg.max_pairs) break;
+      }
+    }
+  }
+
+  if (cfg.max_layers >= 4 && !a_vals.empty()) {
+    std::size_t budget =
+        cfg.max_pairs > out.size() ? cfg.max_pairs - out.size() : 0;
+    for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
+      std::size_t layers = 4 + rng.next_below(cfg.max_layers - 3);
+      TauPair pair;
+      pair.tau_a.resize(layers);
+      pair.tau_b.resize(layers - 1);
+      pair.tau_a.front() = sample(a_ends);
+      pair.tau_a.back() = sample(a_ends);
+      for (std::size_t t = 1; t + 1 < layers; ++t) {
+        pair.tau_a[t] = sample(a_vals);
+      }
+      for (auto& b : pair.tau_b) b = sample(b_vals);
+      if (is_good_pair(pair, cfg)) {
+        out.push_back(std::move(pair));
+        if (out.size() >= cfg.max_pairs) break;
+      }
+    }
+  }
+
+  std::vector<TauPair> dedup;
+  dedup.reserve(out.size());
+  for (auto& p : out) {
+    if (std::find(dedup.begin(), dedup.end(), p) == dedup.end()) {
+      dedup.push_back(std::move(p));
+    }
+  }
+  return dedup;
+}
 
 TEST(Tau, QuantumFloorsAndClampsToOne) {
   TauConfig cfg;
@@ -159,6 +277,50 @@ TEST(Tau, PairsForValuesFindsRepeatedCycleProfile) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// pairs_for_values must return exactly the reference's pairs, in the same
+// order, from the same draws: value sets with duplicates and out-of-range
+// entries, every cap regime (including a cap hit inside the exhaustive
+// priorities, which returns without dedup), and several grid steps.
+TEST(Tau, PairsForValuesMatchesReference) {
+  const std::size_t layer_choices[] = {2, 3, 4, 6, 8};
+  const std::size_t cap_choices[] = {1, 7, 50, 4000};
+  const double granularity_choices[] = {0.125, 0.25, 0.5};
+  Rng gen(2024);
+  std::size_t nonempty = 0, capped = 0, with_duplicates = 0;
+  for (int input = 0; input < 2000; ++input) {
+    TauConfig cfg;
+    cfg.max_layers = layer_choices[gen.next_below(5)];
+    cfg.max_pairs = cap_choices[gen.next_below(4)];
+    cfg.granularity = granularity_choices[gen.next_below(3)];
+    const int umax = core::max_units(cfg);
+    auto values = [&] {
+      std::vector<int> v(gen.next_below(6));
+      for (int& x : v) x = static_cast<int>(gen.next_below(umax + 3));
+      return v;
+    };
+    const std::vector<int> a_vals = values();
+    const std::vector<int> b_vals = values();
+    const std::uint64_t seed = gen.next();
+
+    Rng ref_rng(seed), rng(seed);
+    const auto want = reference_pairs_for_values(a_vals, b_vals, cfg, ref_rng);
+    const auto got = core::pairs_for_values(a_vals, b_vals, cfg, rng);
+    ASSERT_EQ(got, want) << "input " << input;
+    ASSERT_EQ(rng.next(), ref_rng.next()) << "input " << input;
+    if (!want.empty()) ++nonempty;
+    if (want.size() == cfg.max_pairs) ++capped;
+    for (std::size_t i = 0; i < want.size() && want.size() <= 50; ++i) {
+      if (std::count(want.begin(), want.end(), want[i]) > 1) {
+        ++with_duplicates;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 500u);
+  EXPECT_GT(capped, 100u);
+  EXPECT_GT(with_duplicates, 0u);  // a cap hit inside priorities 1-3
 }
 
 }  // namespace

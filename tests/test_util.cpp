@@ -40,6 +40,34 @@ TEST(Rng, NextBelowRejectsZero) {
   EXPECT_THROW(rng.next_below(0), std::invalid_argument);
 }
 
+// Golden stream: every exact-counter baseline depends on these draws, so
+// any change to the engine or to next_below's rejection rule must show
+// up here first.
+TEST(Rng, GoldenStream) {
+  Rng a(42);
+  EXPECT_EQ(a.next(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(a.next(), 0x6104d9866d113a7eULL);
+  EXPECT_EQ(a.next(), 0xae17533239e499a1ULL);
+  EXPECT_EQ(a.next(), 0xecb8ad4703b360a1ULL);
+
+  Rng b(7);
+  EXPECT_EQ(b.next_below(1), 0u);
+  EXPECT_EQ(b.next_below(2), 0u);
+  EXPECT_EQ(b.next_below(3), 0u);
+  EXPECT_EQ(b.next_below(7), 1u);
+  EXPECT_EQ(b.next_below(17), 15u);
+  // A bound of 2^63 + 1 rejects about half of all raw draws: these eight
+  // calls consume 18 draws, which the trailing next() pins.
+  const std::uint64_t big = (1ULL << 63) + 1;
+  for (std::uint64_t want :
+       {6876465445380131912ULL, 763097503181529494ULL, 4277029006759600087ULL,
+        8097486056669415888ULL, 7025456533006481942ULL, 1123021458441024074ULL,
+        2792030678799872683ULL, 3088966443691010364ULL}) {
+    EXPECT_EQ(b.next_below(big), want);
+  }
+  EXPECT_EQ(b.next(), 0x47f4a13a670d89aaULL);
+}
+
 TEST(Rng, NextIntCoversRangeInclusive) {
   Rng rng(3);
   std::set<std::int64_t> seen;
