@@ -18,6 +18,17 @@ also get a "segments": {"<segment id>": median_ms} map in their summary
 — the per-request critical path (admission / queue wait / solve /
 response write) of the CI serving smoke, tracked segment by segment.
 
+A perfbench result document (the last stdout line of perfbench/run.py:
+{"correct", "attempted", "failed", "metrics"}) is recorded under the
+bench name "perfbench/<file name without extension>". So
+
+  python3 perfbench/run.py --workload weighted-er | tail -n 1 > weighted-er.json
+
+records its metrics under "perfbench/weighted-er" as
+
+  {"correct": true, "attempted": A, "failed": F,
+   "metrics": {"<metric>": value, ...}}
+
 to HISTORY.json ({"schema_version": 1, "entries": [...]}; created when
 missing). Per bench:
 
@@ -52,12 +63,24 @@ def percentile(values, pct):
     return ordered[rank]
 
 
+def summarize_perfbench(path, doc):
+    name = os.path.splitext(os.path.basename(path))[0]
+    return "perfbench/" + name, {
+        "correct": doc["correct"],
+        "attempted": doc["attempted"],
+        "failed": doc["failed"],
+        "metrics": {k: m["value"] for k, m in doc["metrics"].items()},
+    }
+
+
 def summarize(path):
     with open(path) as f:
         doc = json.load(f)
+    if "metrics" in doc and "correct" in doc:
+        return summarize_perfbench(path, doc)
     if "schema_version" not in doc or "results" not in doc:
-        raise SystemExit(f"{path}: not a BENCH JSON document "
-                         "(missing schema_version/results)")
+        raise SystemExit(f"{path}: not a BENCH JSON or perfbench document "
+                         "(missing schema_version/results or metrics)")
     medians = [r["wall_ms"]["median"] for r in doc["results"]
                if not r.get("skipped") and "wall_ms" in r]
     service = doc.get("service", {})

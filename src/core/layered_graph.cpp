@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "runtime/parallel.h"
-#include "runtime/thread_pool.h"
 #include "util/require.h"
 
 namespace wmatch::core {
@@ -14,10 +12,6 @@ namespace {
 /// The matched-edge bucket of weight w: ceil(w / U), i.e. the a with
 /// w in ((a-1)U, aU].
 Weight matched_units(Weight w, Weight unit) { return (w + unit - 1) / unit; }
-
-/// Builds whose gaps hold fewer candidate Y edges than this filter them
-/// inline; below it the pool hand-off costs more than the filter.
-constexpr std::size_t kPoolGapWork = 4096;
 
 }  // namespace
 
@@ -30,6 +24,7 @@ Parametrization random_parametrization(std::size_t n, Rng& rng) {
 CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
                              const Parametrization& par) {
   WMATCH_REQUIRE(par.size() == g.num_vertices(), "parametrization size");
+  WMATCH_REQUIRE(m.num_vertices() == g.num_vertices(), "matching size");
   CrossingEdges out;
   for (const Edge& e : g.edges()) {
     if (par[e.u] == par[e.v]) continue;
@@ -43,15 +38,27 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
       out.unmatched.push_back(oriented);
     }
   }
+  out.mate_weight.assign(g.num_vertices(), -1);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const Vertex mate = m.mate(v);
+    if (mate == kNoVertex) {
+      out.mate_weight[v] = 0;
+    } else if (par[v] != par[mate] && m.weight_at(v) > 0) {
+      out.mate_weight[v] = m.weight_at(v);
+    }
+  }
   return out;
 }
 
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
-  WMATCH_REQUIRE(unit >= 1 && umax >= 1, "bad bucket parameters");
+  // umax < 2^16 - 1 keeps every key pair, (umax + 1)^2 included, in 32 bits.
+  WMATCH_REQUIRE(unit >= 1 && umax >= 1 && umax < 65535,
+                 "bad bucket parameters");
   BucketedEdges out;
   out.unit = unit;
   out.matched.assign(static_cast<std::size_t>(umax) + 1, {});
   out.unmatched.assign(static_cast<std::size_t>(umax) + 1, {});
+  out.runs.assign(static_cast<std::size_t>(umax) + 1, {});
   for (const Edge& e : edges.matched) {
     Weight units = matched_units(e.w, unit);
     if (units >= 1 && units <= umax) {
@@ -63,6 +70,55 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
     if (units >= 1 && units <= umax) {
       out.unmatched[static_cast<std::size_t>(units)].push_back(e);
     }
+  }
+
+  // Witness lists: a counting sort of each unmatched bucket by key pair
+  // key(u) * (umax + 1) + key(v), over the pairs that occur in it, in
+  // increasing order. Edges with a none key take the largest pair, so
+  // they go last and get no run. The sort is stable.
+  const std::uint32_t none = static_cast<std::uint32_t>(umax) + 1;
+  std::vector<std::uint32_t> key(edges.mate_weight.size(), none);
+  for (std::size_t x = 0; x < key.size(); ++x) {
+    const Weight w = edges.mate_weight[x];
+    if (w == 0) {
+      key[x] = 0;  // M-free
+    } else if (w > 0 && matched_units(w, unit) <= umax) {
+      key[x] = static_cast<std::uint32_t>(matched_units(w, unit));
+    }
+  }
+  const std::uint32_t none_pair = none * none;
+  // Per key pair: its count in the bucket, then its next write position.
+  std::vector<std::uint32_t> slot(none_pair + 1, 0);
+  std::vector<std::uint32_t> pair_of, pairs;  // per edge; distinct, sorted
+  std::vector<Edge> sorted;
+  for (std::size_t b = 1; b < out.unmatched.size(); ++b) {
+    std::vector<Edge>& bucket = out.unmatched[b];
+    if (bucket.empty()) continue;
+    // Pair ids first, counts in a second pass: one fused loop measured
+    // about twice as slow.
+    pair_of.resize(bucket.size());
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const std::uint32_t ku = key[bucket[i].u], kv = key[bucket[i].v];
+      pair_of[i] = ku == none || kv == none ? none_pair : ku * none + kv;
+    }
+    pairs.clear();
+    for (std::uint32_t p : pair_of) {
+      if (slot[p]++ == 0) pairs.push_back(p);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    std::uint32_t next = 0;
+    for (std::uint32_t p : pairs) {
+      const std::uint32_t count = slot[p];
+      if (p != none_pair) out.runs[b].push_back({p, next, next + count});
+      slot[p] = next;
+      next += count;
+    }
+    sorted.resize(bucket.size());
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      sorted[slot[pair_of[i]]++] = bucket[i];
+    }
+    for (std::uint32_t p : pairs) slot[p] = 0;
+    bucket.swap(sorted);
   }
   return out;
 }
@@ -83,10 +139,30 @@ std::vector<int> BucketedEdges::unmatched_values() const {
   return out;
 }
 
+std::span<const Edge> BucketedEdges::witnesses(int key_u, int b,
+                                               int key_v) const {
+  const int umax = static_cast<int>(unmatched.size()) - 1;
+  if (b < 1 || b > umax || key_u < 0 || key_u > umax || key_v < 0 ||
+      key_v > umax) {
+    return {};
+  }
+  const std::uint32_t keys = static_cast<std::uint32_t>(key_u) *
+                                 static_cast<std::uint32_t>(umax + 1) +
+                             static_cast<std::uint32_t>(key_v);
+  const std::vector<Run>& list = runs[static_cast<std::size_t>(b)];
+  auto it = std::lower_bound(
+      list.begin(), list.end(), keys,
+      [](const Run& run, std::uint32_t k) { return run.keys < k; });
+  if (it == list.end() || it->keys != keys) return {};
+  const std::vector<Edge>& bucket = unmatched[static_cast<std::size_t>(b)];
+  return {bucket.data() + it->begin, bucket.data() + it->end};
+}
+
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
-                                 const Matching& m, const Parametrization& par,
+                                 const Matching& /*m*/,
+                                 const Parametrization& par,
                                  const TauPair& tau, std::size_t n,
-                                 const runtime::RuntimeConfig& rt) {
+                                 const runtime::RuntimeConfig& /*rt*/) {
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   const std::size_t k = layers - 1;
@@ -111,88 +187,40 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     }
   }
 
-  // Presence of v in layer t, by its own matched edge. A layer with
-  // tau_a > 0 keeps the matched crossing edges of bucket tau_a, and in a
-  // simple graph v has at most one matched edge, M(v); so v is present iff
-  // M(v) exists, crosses the bipartition and lies in that bucket. An
-  // endpoint layer with tau_a = 0 keeps the M-free vertices of its side.
-  auto present = [&](std::size_t t, Vertex v) -> bool {
-    const int a = tau.tau_a[t];
-    if (a > 0) {
-      const Vertex mate = m.mate(v);
-      return mate != kNoVertex && par[v] != par[mate] &&
-             matched_units(m.weight_at(v), edges.unit) == a;
-    }
-    if (a < 0 || m.is_matched(v)) return false;
-    if (t == 0) return par[v] == 1;
-    if (t == k) return par[v] == 0;
-    return false;  // intermediate layers require a kept matched edge
+  // Y edges of gap t (u in R at layer t, v in L at layer t+1): the witness
+  // list of (tau_a[t], tau_b[t], tau_a[t+1]). A layer with tau_a > 0 keeps
+  // the vertices whose gap key is tau_a; tau_a = 0 keeps the M-free
+  // vertices, and only in an endpoint layer (R side first, L side last);
+  // a negative tau_a keeps none.
+  auto gap_edges = [&](std::size_t t) -> std::span<const Edge> {
+    const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
+    if ((au == 0 && t != 0) || (av == 0 && t + 1 != k)) return {};
+    return edges.witnesses(au, tau.tau_b[t], av);
   };
+  for (std::size_t t = 0; t < k; ++t) {
+    out.num_between_edges += gap_edges(t).size();
+  }
+  if (out.num_between_edges == 0) return out;
 
-  struct RawEdge {
-    std::size_t tu, tv;
-    Vertex u, v;
-    Weight w;
-    bool between;
-  };
-
-  // Y edges between consecutive layers (u in R at t, v in L at t+1). The
-  // gaps are independent and read-only over m/par; per-gap results are
-  // concatenated in gap order, which keeps the construction
-  // schedule-independent. Large builds filter the gaps on the thread pool;
-  // small ones, and any build under a one-thread runtime, run inline
-  // without touching the pool registry. The output never depends on the
-  // pool, only the wall clock does.
-  auto filter_gaps = [&](std::size_t lo, std::size_t hi) {
-    std::vector<RawEdge> part;
-    for (std::size_t t = lo; t < hi; ++t) {
-      int b = tau.tau_b[t];
-      for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
-        if (!present(t, e.u) || !present(t + 1, e.v)) continue;
-        part.push_back({t, t + 1, e.u, e.v, e.w, true});
+  // Every edge of L' as (layer of u, layer of v, edge): the intermediate X
+  // edges first (first/last-layer matched edges belong to L but are
+  // removed in L'), then the Y edges in gap order.
+  auto for_each_edge = [&](auto&& f) {
+    for (std::size_t t = 1; t + 1 < layers; ++t) {
+      const int a = tau.tau_a[t];
+      if (a <= 0) continue;
+      for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+        f(t, t, e);
       }
     }
-    return part;
-  };
-  std::size_t gap_work = 0;
-  for (int b : tau.tau_b) {
-    gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
-  }
-  std::vector<RawEdge> yedges;
-  if (gap_work < kPoolGapWork ||
-      runtime::resolve_num_threads(rt.num_threads) == 1) {
-    yedges = filter_gaps(0, k);
-  } else {
-    yedges = runtime::parallel_reduce(
-        runtime::pool_for(rt), k, 1, std::vector<RawEdge>{}, filter_gaps,
-        [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
-          if (acc.empty()) return part;  // move, don't copy (single chunk)
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        });
-  }
-  out.num_between_edges = yedges.size();
-  if (yedges.empty()) return out;
-
-  // Intermediate X edges (first/last-layer matched edges belong to L but
-  // are removed in L'). They are kept apart from yedges: the Y set
-  // dominates, and appending it would copy it once more per build.
-  std::vector<RawEdge> xedges;
-  for (std::size_t t = 1; t + 1 < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      xedges.push_back({t, t, e.u, e.v, e.w, false});
+    for (std::size_t t = 0; t < k; ++t) {
+      for (const Edge& e : gap_edges(t)) f(t, t + 1, e);
     }
-  }
-  auto for_each_raw = [&](auto&& f) {
-    for (const RawEdge& e : xedges) f(e);
-    for (const RawEdge& e : yedges) f(e);
   };
 
   // Compress the (layer, vertex) pairs that occur on at least one edge,
-  // numbered in first-occurrence order (X edges, then Y edges) through a
-  // dense table indexed by t*n + v.
+  // numbered in first-occurrence order through a dense table indexed by
+  // t*n + v.
   constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> id(layers * n, kUnset);
   auto intern = [&](std::size_t t, Vertex v) {
@@ -203,18 +231,18 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
     out.side.push_back(par[v]);
   };
-  for_each_raw([&](const RawEdge& e) {
-    intern(e.tu, e.u);
-    intern(e.tv, e.v);
+  for_each_edge([&](std::size_t tu, std::size_t tv, const Edge& e) {
+    intern(tu, e.u);
+    intern(tv, e.v);
   });
 
   Graph lp(out.original.size());
   Matching ml(out.original.size());
-  for_each_raw([&](const RawEdge& e) {
-    std::uint32_t cu = id[e.tu * n + e.u];
-    std::uint32_t cv = id[e.tv * n + e.v];
+  for_each_edge([&](std::size_t tu, std::size_t tv, const Edge& e) {
+    const std::uint32_t cu = id[tu * n + e.u];
+    const std::uint32_t cv = id[tv * n + e.v];
     lp.add_edge(cu, cv, e.w);
-    if (!e.between) ml.add(cu, cv, e.w);
+    if (tu == tv) ml.add(cu, cv, e.w);  // X edges stay within a layer
   });
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);

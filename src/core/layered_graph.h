@@ -21,6 +21,8 @@
 // working graph of Algorithm 4 (first/last-layer matched edges removed).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/tau.h"
@@ -47,11 +49,16 @@ struct LayeredGraph {
 };
 
 /// Pre-filtered view of (G, M) under one parametrization: only L-R
-/// crossing edges, split into matched / unmatched. Building this once per
+/// crossing edges, split into matched / unmatched, plus what each
+/// vertex's gap key (see BucketedEdges) needs. Building this once per
 /// (class, parametrization) makes layered-graph construction cheap.
 struct CrossingEdges {
   std::vector<Edge> matched;    ///< oriented u in L, v in R
   std::vector<Edge> unmatched;  ///< oriented u in R, v in L
+  /// Per vertex x: w(M(x)) when M(x) crosses the bipartition with positive
+  /// weight, 0 when x is M-free, and -1 otherwise (M(x) within one side,
+  /// or of a weight that fits no bucket).
+  std::vector<Weight> mate_weight;
 };
 
 CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
@@ -61,25 +68,49 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
 /// build touches only the edges its thresholds admit: bucket a of
 /// `matched` holds w in ((a-1)U, aU], bucket b of `unmatched` holds
 /// w in [bU, (b+1)U). Buckets above `umax` are discarded (out of class).
+///
+/// The unmatched buckets double as witness lists. The *gap key* of a
+/// vertex x is ceil(w(M(x))/U) if M(x) crosses the bipartition and that
+/// bucket lies in [1, umax], 0 if x is M-free, and none otherwise. An
+/// unmatched edge (u in R, v in L) of bucket b can join layer t to t+1 of
+/// a layered graph only if both ends are present there, which needs
+/// tau^A_t = key(u) and tau^A_{t+1} = key(v) (a zero key counts only in
+/// the first layer for u and the last for v); so it fits the one *gap
+/// triple* (key(u), b, key(v)). Each unmatched bucket is stably
+/// sorted by (key(u), key(v)), with the edges that have a none key last,
+/// so a triple's edges are one run of the bucket, in crossing order.
 struct BucketedEdges {
   Weight unit = 1;
   std::vector<std::vector<Edge>> matched;    ///< index = units (1-based)
   std::vector<std::vector<Edge>> unmatched;  ///< index = units (1-based)
 
+  /// One run of unmatched[b]: the edges [begin, end) of the key pair
+  /// `keys` = key(u) * (umax + 1) + key(v).
+  struct Run {
+    std::uint32_t keys, begin, end;
+  };
+  std::vector<std::vector<Run>> runs;  ///< index = units; sorted by keys
+
   /// Distinct non-empty bucket indices — the value sets fed to
   /// pairs_for_values.
   std::vector<int> matched_values() const;
   std::vector<int> unmatched_values() const;
+
+  /// The witness list of the gap triple (key_u, b, key_v), in crossing
+  /// order; empty when any index lies outside its range.
+  std::span<const Edge> witnesses(int key_u, int b, int key_v) const;
 };
 
+/// `edges` must come from crossing_edges; umax must lie in [1, 65534].
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
 /// Builds the layered graph L' for one good pair over pre-bucketed edges.
-/// `m` must be a matching of the simple graph whose crossing edges were
-/// bucketed: a vertex's presence in a layer is read from its own matched
-/// edge M(v). Builds with at least 4096 candidate Y edges filter the gaps
-/// on the runtime thread pool selected by `rt`; smaller ones run inline.
-/// The output is identical for any thread count.
+/// Gap t takes its Y edges straight from the witness list of
+/// (tau^A_t, tau^B_t, tau^A_{t+1}), so L' reflects the matching and
+/// bipartition that `edges` was built from: `m` and `par` must be the ones
+/// given to crossing_edges. The build reads `par` for the sides of L'. It
+/// ignores `m` and `rt`, and runs on the calling thread; the two
+/// parameters stay because existing callers pass them.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,

@@ -47,7 +47,6 @@ Weight improve_matching_once(const GraphView& g, Matching& m,
   opts.delta = cfg.effective_delta();
   opts.enable_cycles = cfg.enable_cycles;
   opts.parametrizations = cfg.parametrizations;
-  opts.runtime = cfg.runtime;
 
   const std::vector<Weight> ladder = class_ladder(g, cfg);
   const std::size_t k = ladder.size();

@@ -66,8 +66,8 @@ SingleClassResult find_class_augmentations(const GraphView& g,
       buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng);
 
   for (const TauPair& pair : pairs) {
-    LayeredGraph lg = build_layered_graph(buckets, m, par, pair,
-                                          g.num_vertices(), opts.runtime);
+    LayeredGraph lg =
+        build_layered_graph(buckets, m, par, pair, g.num_vertices());
     if (lg.num_between_edges == 0) continue;
     ++result.layered_graphs;
 

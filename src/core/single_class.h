@@ -21,7 +21,6 @@
 #include "graph/augmentation.h"
 #include "graph/graph_view.h"
 #include "graph/matching.h"
-#include "runtime/runtime.h"
 #include "util/rng.h"
 
 namespace wmatch::core {
@@ -52,8 +51,6 @@ struct SingleClassOptions {
   /// they can improve a perfect matching, which is exactly the capability
   /// the ablation is meant to remove).
   bool enable_cycles = true;
-  /// Host-parallelism knob for the layered-graph builds.
-  runtime::RuntimeConfig runtime;
 };
 
 /// The tau pairs are generated internally per class via pairs_for_values,

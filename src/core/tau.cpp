@@ -176,52 +176,59 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
   std::size_t raw = out.size();
   out.resize(kept);
 
-  // Priorities 4 and 5 draw each trial into the scratch buffers `ta`,
-  // `tb`. Sampled values already satisfy (A)-(D), so a trial is good iff
-  // (E) and (F) hold, and only an accepted trial becomes a TauPair.
-  std::vector<int> ta, tb;
-  // Accepts the trial in ta/tb if it is good; true once the cap is hit.
-  auto accept = [&]() {
-    const int sum_a = std::accumulate(ta.begin(), ta.end(), 0);
-    const int sum_b = std::accumulate(tb.begin(), tb.end(), 0);
-    if (sum_b > umax || sum_b - sum_a < 1) return false;
-    out.push_back({ta, tb});
+  if (a_vals.empty()) return out;  // priorities 4 and 5 need interior values
+
+  // Priorities 4 and 5 draw each trial into the scratch arrays `ta`, `tb`,
+  // sized once for the deepest profile, and sum it as they draw. Sampled
+  // values already satisfy (A)-(D), so a trial is good iff (E) and (F)
+  // hold, and only a good trial becomes a TauPair. Every value is drawn
+  // through a FixedBound, which draws exactly what next_below would.
+  std::vector<int> ta(cfg.max_layers), tb(cfg.max_layers);
+  auto good = [umax](int sum_a, int sum_b) {
+    return sum_b <= umax && sum_b - sum_a >= 1;
+  };
+  // Records the good trial ta[0, layers), tb[0, layers - 1); true once the
+  // cap is hit.
+  auto accept = [&](std::size_t layers) {
+    out.push_back({{ta.begin(), ta.begin() + layers},
+                   {tb.begin(), tb.begin() + (layers - 1)}});
     WMATCH_ASSERT(is_good_pair(out.back(), cfg));
     if (!seen.insert(out.size() - 1).second) out.pop_back();
     return ++raw >= cfg.max_pairs;
   };
-  auto sample = [&](const std::vector<int>& vals) {
-    return vals[rng.next_below(vals.size())];
-  };
+  const FixedBound pick_end(a_ends.size()), pick_a(a_vals.size()),
+      pick_b(b_vals.size());
 
   // --- Priority 4: random samples of the general 3-layer space. ---
-  if (cfg.max_layers >= 3 && !a_vals.empty()) {
+  if (cfg.max_layers >= 3) {
     const std::size_t budget =
         cfg.max_pairs > raw ? (cfg.max_pairs - raw) / 2 : 0;
-    ta.resize(3);
-    tb.resize(2);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      ta[0] = sample(a_ends);
-      ta[1] = sample(a_vals);
-      ta[2] = sample(a_ends);
-      tb[0] = sample(b_vals);
-      tb[1] = sample(b_vals);
-      if (accept()) break;
+      ta[0] = a_ends[pick_end(rng)];
+      ta[1] = a_vals[pick_a(rng)];
+      ta[2] = a_ends[pick_end(rng)];
+      tb[0] = b_vals[pick_b(rng)];
+      tb[1] = b_vals[pick_b(rng)];
+      if (good(ta[0] + ta[1] + ta[2], tb[0] + tb[1]) && accept(3)) break;
     }
   }
 
   // --- Priority 5: random non-uniform deep profiles. ---
-  if (cfg.max_layers >= 4 && !a_vals.empty()) {
+  if (cfg.max_layers >= 4) {
     const std::size_t budget = cfg.max_pairs > raw ? cfg.max_pairs - raw : 0;
+    const FixedBound pick_layers(cfg.max_layers - 3);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      const std::size_t layers = 4 + rng.next_below(cfg.max_layers - 3);
-      ta.resize(layers);
-      tb.resize(layers - 1);
-      ta.front() = sample(a_ends);
-      ta.back() = sample(a_ends);
-      for (std::size_t t = 1; t + 1 < layers; ++t) ta[t] = sample(a_vals);
-      for (int& b : tb) b = sample(b_vals);
-      if (accept()) break;
+      const std::size_t layers = 4 + pick_layers(rng);
+      int sum_a = ta[0] = a_ends[pick_end(rng)];
+      sum_a += ta[layers - 1] = a_ends[pick_end(rng)];
+      for (std::size_t t = 1; t + 1 < layers; ++t) {
+        sum_a += ta[t] = a_vals[pick_a(rng)];
+      }
+      int sum_b = 0;
+      for (std::size_t t = 0; t + 1 < layers; ++t) {
+        sum_b += tb[t] = b_vals[pick_b(rng)];
+      }
+      if (good(sum_a, sum_b) && accept(layers)) break;
     }
   }
   return out;

@@ -277,12 +277,15 @@ struct Server::Impl {
       conn.eof = true;  // dead peer == ordinary close
       conn.inbuf.clear();
     }
-    std::size_t pos;
-    while ((pos = conn.inbuf.find('\n')) != std::string::npos) {
-      const std::string line = conn.inbuf.substr(0, pos);
-      conn.inbuf.erase(0, pos + 1);
+    // Consume the complete lines from a moving offset and drop them with
+    // one erase, so a pipelined burst costs O(bytes), not O(lines * bytes).
+    std::size_t begin = 0, pos;
+    while ((pos = conn.inbuf.find('\n', begin)) != std::string::npos) {
+      const std::string line = conn.inbuf.substr(begin, pos - begin);
+      begin = pos + 1;
       handle_line(conn, line);
     }
+    conn.inbuf.erase(0, begin);
     if (conn.eof && !conn.inbuf.empty()) {
       // Final unterminated line: a client that sends one job and shuts
       // down its write side without a trailing newline still gets served.

@@ -77,8 +77,53 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
   [[noreturn]] static void zero_bound();
+  friend class FixedBound;
 
   std::uint64_t s_[4];
+};
+
+/// Rng::next_below for one bound drawn from many times. Returns exactly
+/// what rng.next_below(bound) would and consumes the same raw draws,
+/// rejected ones included, but does its divisions once, at construction:
+/// r mod bound is the direct remainder of Lemire, Kaser and Kurz, "Faster
+/// Remainder by Direct Computation" (2019), exact for every 64-bit r and
+/// bound. A one-off draw is cheaper through next_below, which skips the
+/// 128-bit division that sets this up.
+class FixedBound {
+ public:
+  /// bound must be > 0 (a zero bound throws std::invalid_argument).
+  explicit FixedBound(std::uint64_t bound) : bound_(bound) {
+    if (bound == 0) Rng::zero_bound();
+    threshold_ = (~bound + 1) % bound;
+    // c = floor((2^128 - 1) / bound) + 1; it wraps to 0 for bound 1.
+    magic_ = ~static_cast<unsigned __int128>(0) / bound + 1;
+  }
+
+  /// Uniform integer in [0, bound). Always inlined: the sampling loops
+  /// that use it lose most of the gain to a call.
+  [[gnu::always_inline]] std::uint64_t operator()(Rng& rng) const {
+    for (;;) {
+      const std::uint64_t r = rng.next();
+      if (r >= threshold_) return remainder(r);
+    }
+  }
+
+ private:
+  // floor(((c * r) mod 2^128) * bound / 2^128), from two 64x64 products.
+  [[gnu::always_inline]] std::uint64_t remainder(std::uint64_t r) const {
+    const unsigned __int128 low = magic_ * r;
+    const unsigned __int128 bottom =
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(low)) *
+         bound_) >> 64;
+    const unsigned __int128 top =
+        static_cast<unsigned __int128>(static_cast<std::uint64_t>(low >> 64)) *
+        bound_;
+    return static_cast<std::uint64_t>((bottom + top) >> 64);
+  }
+
+  std::uint64_t bound_ = 1;
+  std::uint64_t threshold_ = 0;  ///< (2^64 - bound) mod bound, as in next_below
+  unsigned __int128 magic_ = 0;
 };
 
 }  // namespace wmatch

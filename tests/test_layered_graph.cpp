@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -212,9 +213,33 @@ TEST(LayeredGraphRandom, StructuralInvariants) {
   EXPECT_GT(checked, 0u);
 }
 
-// The previous build_layered_graph, kept verbatim as the exactness
-// reference: layer presence from a hash set of the kept matched edges'
-// endpoints, and (layer, vertex) interning through a hash map.
+// The previous bucket_edges, kept as the exactness reference: each bucket
+// in crossing order, with no witness index.
+core::BucketedEdges reference_bucket_edges(const CrossingEdges& edges,
+                                           Weight unit, int umax) {
+  core::BucketedEdges out;
+  out.unit = unit;
+  out.matched.assign(static_cast<std::size_t>(umax) + 1, {});
+  out.unmatched.assign(static_cast<std::size_t>(umax) + 1, {});
+  for (const Edge& e : edges.matched) {
+    Weight units = (e.w + unit - 1) / unit;
+    if (units >= 1 && units <= umax) {
+      out.matched[static_cast<std::size_t>(units)].push_back(e);
+    }
+  }
+  for (const Edge& e : edges.unmatched) {
+    Weight units = e.w / unit;  // floor: w in [bU, (b+1)U)
+    if (units >= 1 && units <= umax) {
+      out.unmatched[static_cast<std::size_t>(units)].push_back(e);
+    }
+  }
+  return out;
+}
+
+// An earlier build_layered_graph, kept verbatim as the exactness
+// reference: it filters every gap's bucket by layer presence, read from a
+// hash set of the kept matched edges' endpoints, and interns (layer,
+// vertex) through a hash map. Run it on reference_bucket_edges.
 LayeredGraph reference_build(const core::BucketedEdges& edges,
                              const Matching& m, const Parametrization& par,
                              const TauPair& tau, std::size_t n,
@@ -371,6 +396,34 @@ Matching random_matching(const Graph& g, Rng& rng) {
   return m;
 }
 
+// One random instance of the reference comparisons: a simple graph, a
+// random matching and bipartition, and a class weight, bucketed both ways.
+struct Instance {
+  Matching m;
+  Parametrization par;
+  core::TauConfig cfg;
+  core::BucketedEdges buckets;      // bucket_edges, with witness lists
+  core::BucketedEdges ref_buckets;  // reference_bucket_edges
+};
+
+Instance random_instance(std::size_t n, int inst, Rng& rng) {
+  Instance out;
+  const std::size_t max_m = n * (n - 1) / 2;
+  Graph g = gen::erdos_renyi(n, std::min<std::size_t>(max_m, 4 * n), rng);
+  g = gen::assign_weights(g, gen::WeightDist::kUniform, 100, rng);
+  out.m = random_matching(g, rng);
+  out.par = core::random_parametrization(n, rng);
+  out.cfg.max_layers = inst % 2 == 0 ? 4 : 6;
+  out.cfg.granularity = inst % 3 == 0 ? 0.25 : 0.125;
+  const Weight w_class = 1 + static_cast<Weight>(rng.next_below(100));
+  const Weight unit = core::quantum(w_class, out.cfg);
+  const int umax = core::max_units(out.cfg);
+  const CrossingEdges crossing = core::crossing_edges(freeze(g), out.m, out.par);
+  out.buckets = core::bucket_edges(crossing, unit, umax);
+  out.ref_buckets = reference_bucket_edges(crossing, unit, umax);
+  return out;
+}
+
 // build_layered_graph must reproduce the reference on every pair that
 // pairs_for_values yields, over random simple graphs, matchings,
 // bipartitions and class weights.
@@ -379,24 +432,17 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   std::size_t builds = 0, nonempty = 0;
   for (std::size_t n : {12u, 80u}) {
     for (int inst = 0; inst < 12; ++inst) {
-      const std::size_t max_m = n * (n - 1) / 2;
-      Graph g = gen::erdos_renyi(n, std::min<std::size_t>(max_m, 4 * n), rng);
-      g = gen::assign_weights(g, gen::WeightDist::kUniform, 100, rng);
-      const Matching m = random_matching(g, rng);
-      const Parametrization par = core::random_parametrization(n, rng);
-      core::TauConfig cfg;
-      cfg.max_layers = inst % 2 == 0 ? 4 : 6;
-      cfg.granularity = inst % 3 == 0 ? 0.25 : 0.125;
-      const Weight w_class = 1 + static_cast<Weight>(rng.next_below(100));
-      const core::BucketedEdges buckets = core::bucket_edges(
-          core::crossing_edges(freeze(g), m, par), core::quantum(w_class, cfg),
-          core::max_units(cfg));
-      for (const TauPair& tau :
-           core::pairs_for_values(buckets.matched_values(),
-                                  buckets.unmatched_values(), cfg, rng)) {
+      const Instance in = random_instance(n, inst, rng);
+      ASSERT_EQ(in.buckets.matched_values(), in.ref_buckets.matched_values());
+      ASSERT_EQ(in.buckets.unmatched_values(),
+                in.ref_buckets.unmatched_values());
+      for (const TauPair& tau : core::pairs_for_values(
+               in.buckets.matched_values(), in.buckets.unmatched_values(),
+               in.cfg, rng)) {
         const LayeredGraph got =
-            core::build_layered_graph(buckets, m, par, tau, n);
-        const LayeredGraph want = reference_build(buckets, m, par, tau, n, {});
+            core::build_layered_graph(in.buckets, in.m, in.par, tau, n);
+        const LayeredGraph want =
+            reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
         expect_same_build(got, want);
         if (::testing::Test::HasFatalFailure()) return;
         ++builds;
@@ -408,27 +454,117 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   EXPECT_GT(nonempty, 100u);
 }
 
-// A build large enough (>= 4096 candidate Y edges) to filter its gaps on
-// the pool: four threads, one thread and the reference must agree.
-TEST(LayeredGraphRandom, PoolPathMatchesReference) {
+// The witness rules on hand-made pairs, good or not: an interior tau_a of
+// 0 and a negative tau_a, which pairs_for_values never yields, tau_a > 0
+// at both endpoints, and a tau_b whose bucket has edges but whose gap
+// triple has none. The instances match some vertices by a non-crossing
+// edge and some by a crossing edge above umax, whose gap key is none.
+TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
+  Rng rng(31);
+  std::size_t non_crossing = 0, above_umax = 0;
+  std::size_t interior_zero = 0, negative = 0, positive_ends = 0,
+              empty_triple = 0;
+  for (std::size_t n : {12u, 80u}) {
+    for (int inst = 0; inst < 12; ++inst) {
+      const Instance in = random_instance(n, inst, rng);
+      const int umax = core::max_units(in.cfg);
+      for (Vertex v = 0; v < n; ++v) {
+        const Vertex mate = in.m.mate(v);
+        if (mate == kNoVertex) continue;
+        if (in.par[v] == in.par[mate]) {
+          ++non_crossing;
+        } else if ((in.m.weight_at(v) + in.buckets.unit - 1) /
+                       in.buckets.unit > umax) {
+          ++above_umax;
+        }
+      }
+      // Thresholds: every occurring value, plus -1, 0 and umax + 1 for
+      // tau_a, and an empty bucket for tau_b.
+      std::vector<int> a_opts = in.buckets.matched_values();
+      a_opts.insert(a_opts.end(), {-1, 0, 0, umax + 1});
+      std::vector<int> b_opts = in.buckets.unmatched_values();
+      if (b_opts.empty()) continue;
+      b_opts.push_back(b_opts.back() < umax ? umax : 0);
+      for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t layers = 2 + rng.next_below(4);
+        TauPair tau;
+        for (std::size_t t = 0; t < layers; ++t) {
+          tau.tau_a.push_back(a_opts[rng.next_below(a_opts.size())]);
+        }
+        for (std::size_t t = 0; t + 1 < layers; ++t) {
+          tau.tau_b.push_back(b_opts[rng.next_below(b_opts.size())]);
+        }
+        const LayeredGraph got =
+            core::build_layered_graph(in.buckets, in.m, in.par, tau, n);
+        const LayeredGraph want =
+            reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
+        expect_same_build(got, want);
+        if (::testing::Test::HasFatalFailure()) return;
+
+        // Coverage, among builds that pass the fast reject.
+        bool rejected = false;
+        for (int a : tau.tau_a) {
+          rejected |= a > umax ||
+                      (a > 0 && in.buckets.matched[static_cast<std::size_t>(a)]
+                                    .empty());
+        }
+        for (int b : tau.tau_b) {
+          rejected |= in.buckets.unmatched[static_cast<std::size_t>(b)].empty();
+        }
+        if (rejected) continue;
+        const std::size_t k = layers - 1;
+        for (std::size_t t = 1; t < k; ++t) {
+          if (tau.tau_a[t] == 0) {
+            ++interior_zero;
+            break;
+          }
+        }
+        if (*std::min_element(tau.tau_a.begin(), tau.tau_a.end()) < 0) {
+          ++negative;
+        }
+        if (tau.tau_a[0] > 0 && tau.tau_a[k] > 0 &&
+            want.num_between_edges > 0) {
+          ++positive_ends;
+        }
+        for (std::size_t t = 0; t < k; ++t) {
+          if (tau.tau_a[t] > 0 && tau.tau_a[t + 1] > 0 &&
+              in.buckets.witnesses(tau.tau_a[t], tau.tau_b[t],
+                                   tau.tau_a[t + 1]).empty()) {
+            ++empty_triple;
+            break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(non_crossing, 0u);
+  EXPECT_GT(above_umax, 0u);
+  EXPECT_GT(interior_zero, 0u);
+  EXPECT_GT(negative, 0u);
+  EXPECT_GT(positive_ends, 0u);
+  EXPECT_GT(empty_triple, 0u);
+}
+
+// Large builds (bipartite n = 2000, m = 20000, unit weights, so each gap
+// takes thousands of Y edges) under four threads, one thread and the
+// reference: the build ignores its RuntimeConfig, so all three agree.
+TEST(LayeredGraphRandom, LargeBuildMatchesReference) {
   Rng rng(5);
   Graph g = gen::random_bipartite(1000, 1000, 20000, rng);
   const Matching m = random_matching(g, rng);
   const Parametrization par = core::random_parametrization(2000, rng);
   core::TauConfig cfg;
-  const core::BucketedEdges buckets = core::bucket_edges(
-      core::crossing_edges(freeze(g), m, par), core::quantum(1, cfg),
-      core::max_units(cfg));
-  std::size_t pooled = 0;
+  const CrossingEdges crossing = core::crossing_edges(freeze(g), m, par);
+  const Weight unit = core::quantum(1, cfg);
+  const core::BucketedEdges buckets =
+      core::bucket_edges(crossing, unit, core::max_units(cfg));
+  const core::BucketedEdges ref_buckets =
+      reference_bucket_edges(crossing, unit, core::max_units(cfg));
+  std::size_t most_between = 0;
   for (const TauPair& tau : core::pairs_for_values(
            buckets.matched_values(), buckets.unmatched_values(), cfg, rng)) {
-    std::size_t gap_work = 0;
-    for (int b : tau.tau_b) {
-      gap_work += buckets.unmatched[static_cast<std::size_t>(b)].size();
-    }
-    if (gap_work >= 4096) ++pooled;
-    const LayeredGraph want =
-        reference_build(buckets, m, par, tau, 2000, runtime::RuntimeConfig{4});
+    const LayeredGraph want = reference_build(ref_buckets, m, par, tau, 2000,
+                                              runtime::RuntimeConfig{4});
     expect_same_build(core::build_layered_graph(buckets, m, par, tau, 2000,
                                                 runtime::RuntimeConfig{4}),
                       want);
@@ -436,8 +572,9 @@ TEST(LayeredGraphRandom, PoolPathMatchesReference) {
                                                 runtime::RuntimeConfig{1}),
                       want);
     if (::testing::Test::HasFatalFailure()) return;
+    most_between = std::max(most_between, want.num_between_edges);
   }
-  EXPECT_GT(pooled, 0u);
+  EXPECT_GT(most_between, 1000u);
 }
 
 }  // namespace

@@ -388,6 +388,42 @@ TEST(NetServer, MalformedLineAnswersErrorWithLineNumber) {
   EXPECT_EQ(summary.requests, 1u);
 }
 
+TEST(NetServer, PipelinedBurstAndSplitLineAnswerEveryLineInOrder) {
+  // 2,000 job lines in one write, so one read carries many lines, then
+  // one line split across two writes. One worker and a queue that holds
+  // the whole burst: every line is admitted and answered in line order.
+  constexpr std::size_t kBurst = 2000;
+  TestServer ts(small_server(/*jobs=*/1, /*queue=*/kBurst + 1));
+  Client client(ts.port());
+  auto id = [](std::size_t k) {
+    std::string s = "p";
+    s += std::to_string(k);
+    return s;
+  };
+  std::string burst;
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    burst += job_line(id(k), "greedy", 12, 20, static_cast<int>(k % 7 + 1));
+  }
+  client.send(burst);
+  const std::string split = job_line("split", "greedy", 12, 20, 1);
+  client.send(split.substr(0, split.size() / 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  client.send(split.substr(split.size() / 2));
+  client.shutdown_send();
+
+  for (std::size_t k = 0; k <= kBurst; ++k) {
+    const std::string line = client.read_line();
+    ASSERT_FALSE(line.empty()) << "missing reply " << k;
+    const util::JsonValue obj = util::parse_json(line);
+    ASSERT_EQ(obj.find("error"), nullptr) << line;
+    EXPECT_EQ(obj.find("id")->as_string(), k < kBurst ? id(k) : "split");
+  }
+  EXPECT_TRUE(client.read_line(5.0).empty());  // then EOF
+  const net::ServeSummary summary = ts.finish();
+  EXPECT_EQ(summary.requests, kBurst + 1);
+  EXPECT_EQ(summary.parse_errors, 0u);
+}
+
 TEST(NetServer, MetricsControlLineAnswersRegistrySnapshot) {
   TestServer ts(small_server());
   Client client(ts.port());

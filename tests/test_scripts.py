@@ -525,7 +525,39 @@ class TraceReportTest(unittest.TestCase):
 
 
 class AppendHistoryTest(unittest.TestCase):
-    """append_bench_history.py folds trace_report docs into "segments"."""
+    """append_bench_history.py folds trace_report docs into "segments"
+    and records perfbench result documents by workload."""
+
+    def test_perfbench_document_recorded_under_workload_name(self):
+        result = {
+            "correct": True, "attempted": 40, "failed": 0,
+            "metrics": {"solve_s": {"value": 0.062, "unit": "s"},
+                        "ok_share": {"value": 1.0, "unit": "ratio"}},
+        }
+        batch = bench_doc(bench_result())
+        batch["bench"] = "batch"
+        with TempJson() as t:
+            hist = os.path.join(t.dir.name, "hist.json")
+            code, out = run("append_bench_history.py", hist,
+                            t.write("weighted-er.json", result),
+                            t.write("batch.json", batch),
+                            "--sha=abc123", "--date=2026-01-01")
+            self.assertEqual(code, 0, out)
+            with open(hist) as f:
+                doc = json.load(f)
+        benches = doc["entries"][0]["benches"]
+        self.assertEqual(benches["perfbench/weighted-er"], {
+            "correct": True, "attempted": 40, "failed": 0,
+            "metrics": {"solve_s": 0.062, "ok_share": 1.0}})
+        self.assertEqual(benches["batch"]["cells"], 1)
+
+    def test_unknown_document_is_rejected(self):
+        with TempJson() as t:
+            hist = os.path.join(t.dir.name, "hist.json")
+            code, out = run("append_bench_history.py", hist,
+                            t.write("x.json", {"metrics": {}}))
+        self.assertNotEqual(code, 0)
+        self.assertIn("not a BENCH JSON or perfbench document", out)
 
     def test_trace_report_document_gets_segments_map(self):
         report = {

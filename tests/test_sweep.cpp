@@ -72,9 +72,8 @@ TEST(SweepRunner, UnknownSolverThrows) {
 
 // The acceptance contract: exact counters in the emitted results are
 // bit-identical across thread counts at equal seed — only wall clock may
-// differ. Covers the parallelized reduction solvers (per-class loop +
-// layered-graph gap filter) at 1 / 2 / 8 threads, including the
-// now-metered reduction-hk memory column.
+// differ. Covers the parallelized reduction solvers (per-class loop) at
+// 1 / 2 / 8 threads, including the now-metered reduction-hk memory column.
 TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"greedy", "rand-arrival", "reduction-hk", "reduction-mpc",

@@ -68,6 +68,25 @@ TEST(Rng, GoldenStream) {
   EXPECT_EQ(b.next(), 0x47f4a13a670d89aaULL);
 }
 
+// FixedBound must draw exactly what next_below draws, from the same raw
+// draws. 2^63 + 1 rejects about half of its raw draws (the retry path);
+// 1, 2^64 - 1 and the powers of two are the magic constant's edge cases.
+TEST(Rng, FixedBoundMatchesNextBelow) {
+  const std::uint64_t p32 = 1ULL << 32, p63 = 1ULL << 63;
+  const std::uint64_t bounds[] = {1,       2,       3,   5,       7,  16, 17,
+                                  p32 - 1, p32 + 1, p63, p63 + 1, ~0ULL};
+  for (std::uint64_t bound : bounds) {
+    Rng a(bound ^ 0x5eedULL), b(bound ^ 0x5eedULL);
+    const FixedBound draw(bound);
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t want = a.next_below(bound);
+      ASSERT_EQ(draw(b), want) << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(a.next(), b.next()) << "bound " << bound;
+  }
+  EXPECT_THROW(FixedBound{0}, std::invalid_argument);
+}
+
 TEST(Rng, NextIntCoversRangeInclusive) {
   Rng rng(3);
   std::set<std::int64_t> seen;
