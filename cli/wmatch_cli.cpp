@@ -683,13 +683,13 @@ int cmd_bench(int argc, char** argv) {
 
   TraceSession trace;
   if (!opt.trace_path.empty()) trace.open(opt.trace_path);
-  const sweep::SweepRunner runner(spec);
-  std::cout << "sweep '" << spec.name << "': " << runner.grid_size()
-            << " cells (" << spec.solvers.size() << " solvers x "
+  std::cout << "sweep '" << spec.name
+            << "': " << sweep::expand_grid(spec).size() << " cells ("
+            << spec.solvers.size() << " solvers x "
             << spec.instances.size() << " instances x "
             << spec.epsilons.size() << " epsilons x " << spec.threads.size()
             << " thread counts x " << spec.seeds.size() << " seeds)\n\n";
-  const sweep::SweepResult result = runner.run();
+  const sweep::SweepResult result = sweep::run_sweep(spec);
   (opt.summary ? result.summary_table() : result.table()).print(std::cout);
 
   if (opt.json) {
@@ -922,7 +922,10 @@ int cmd_serve(int argc, char** argv) {
     usage_error(e.what());
   }
   if (opt.listen_port >= 0) {
-    std::cerr << "serve: listening on 127.0.0.1:" << server.port() << "\n";
+    // One insertion, so the unit-buffered stream makes one write: a
+    // client polling the log for the port never reads half the line.
+    std::cerr << "serve: listening on 127.0.0.1:" +
+                     std::to_string(server.port()) + "\n";
   }
 
   // SIGINT/SIGTERM trigger the graceful drain: stop accepting, finish

@@ -33,6 +33,7 @@ int main() {
   }
   t.print(std::cout);
   std::cout << "\nRandom arrival order keeps stored state far below m; an "
-               "adversarial order would not (see bench_e11_local_ratio).\n";
+               "adversarial order would not (see `wmatch_cli bench "
+               "--preset=e11`).\n";
   return 0;
 }

@@ -166,19 +166,4 @@ std::vector<Edge> clustered_stream(const GraphView& g) {
   return edges;
 }
 
-std::vector<Edge> locally_shuffled_stream(const GraphView& g,
-                                          std::size_t window,
-                                          Rng& rng) {
-  std::vector<Edge> edges = increasing_weight_stream(g);
-  if (window == 0 || edges.size() < 2) return edges;
-  // One pass of bounded random transpositions: each position swaps with a
-  // uniform position at distance <= window ahead of it.
-  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    std::size_t hi = std::min(edges.size() - 1, i + window);
-    std::size_t j = i + rng.next_below(hi - i + 1);
-    std::swap(edges[i], edges[j]);
-  }
-  return edges;
-}
-
 }  // namespace wmatch::gen

@@ -64,11 +64,4 @@ std::vector<Edge> decreasing_weight_stream(const GraphView& g);
 /// remaining non-degenerate.
 std::vector<Edge> clustered_stream(const GraphView& g);
 
-/// Semi-random order: an adversarial (increasing-weight) stream whose
-/// elements are then displaced by at most `window` positions via local
-/// shuffles. window = 0 is fully adversarial; window >= m is fully random.
-std::vector<Edge> locally_shuffled_stream(const GraphView& g,
-                                          std::size_t window,
-                                          Rng& rng);
-
 }  // namespace wmatch::gen

@@ -31,6 +31,22 @@ std::uint64_t hash_file(const std::string& path) {
   return h;
 }
 
+/// `,"wall_ms":{"median","min"},"stats":{...}` — the tail every per-job
+/// JSON shape shares.
+void print_wall_and_stats(std::ostream& os, const JobResult& r) {
+  os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
+     << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
+  os << ",\"stats\":{";
+  bool first = true;
+  for (const auto& [name, value] : r.stats) {
+    if (!first) os << ',';
+    first = false;
+    util::write_json_string(os, name);
+    os << ':' << util::json_number(value);
+  }
+  os << '}';
+}
+
 }  // namespace
 
 std::string cache_key(const JobSpec& job) {
@@ -94,17 +110,25 @@ void print_job_json(std::ostream& os, const JobResult& r) {
        << ",\"ratio\":" << util::json_number(r.ratio());
   }
   os << '}';
-  os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-     << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-  os << ",\"stats\":{";
-  bool first = true;
-  for (const auto& [name, value] : r.stats) {
-    if (!first) os << ',';
-    first = false;
-    util::write_json_string(os, name);
-    os << ':' << util::json_number(value);
+  print_wall_and_stats(os, r);
+  os << "}\n";
+}
+
+void print_bench_measurements(std::ostream& os, const JobResult& r) {
+  const api::CostReport& c = r.cost;
+  os << ",\"counters\":{\"passes\":" << c.passes
+     << ",\"rounds\":" << c.rounds
+     << ",\"memory_peak_words\":" << c.memory_peak_words
+     << ",\"communication_words\":" << c.communication_words
+     << ",\"bb_invocations\":" << c.bb_invocations
+     << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
+     << ",\"matching_size\":" << r.matching_size
+     << ",\"matching_weight\":" << r.matching_weight << '}';
+  if (r.has_ratio()) {
+    os << ",\"optimum\":" << util::json_number(r.optimum)
+       << ",\"ratio\":" << util::json_number(r.ratio());
   }
-  os << "}}\n";
+  print_wall_and_stats(os, r);
 }
 
 }  // namespace wmatch::service

@@ -117,4 +117,11 @@ struct JobResult {
 /// {"id":...,"error":...} instead.
 void print_job_json(std::ostream& os, const JobResult& r);
 
+/// Writes the measured members of a BENCH `results` entry for a job that
+/// ran (neither failed nor skipped): `,"counters":{...}`, then
+/// `"optimum"`/`"ratio"` when known, `"wall_ms":{"median","min"}` and
+/// `"stats":{...}`. The sweep and batch BENCH documents both end their
+/// entries with it, so scripts/check_bench_regression.py reads one schema.
+void print_bench_measurements(std::ostream& os, const JobResult& r);
+
 }  // namespace wmatch::service

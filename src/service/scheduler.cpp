@@ -325,31 +325,8 @@ void BatchResult::print_bench_json(std::ostream& os,
       os << ",\"error\":";
       util::write_json_string(os, r.error);
     } else if (!r.skipped) {
-      const api::CostReport& c = r.cost;
       os << ",\"cache_hit\":" << (r.cache_hit ? "true" : "false");
-      os << ",\"counters\":{\"passes\":" << c.passes
-         << ",\"rounds\":" << c.rounds
-         << ",\"memory_peak_words\":" << c.memory_peak_words
-         << ",\"communication_words\":" << c.communication_words
-         << ",\"bb_invocations\":" << c.bb_invocations
-         << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
-         << ",\"matching_size\":" << r.matching_size
-         << ",\"matching_weight\":" << r.matching_weight << '}';
-      if (r.has_ratio()) {
-        os << ",\"optimum\":" << util::json_number(r.optimum)
-           << ",\"ratio\":" << util::json_number(r.ratio());
-      }
-      os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-         << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-      os << ",\"stats\":{";
-      bool first = true;
-      for (const auto& [stat_name, value] : r.stats) {
-        if (!first) os << ',';
-        first = false;
-        util::write_json_string(os, stat_name);
-        os << ':' << util::json_number(value);
-      }
-      os << '}';
+      print_bench_measurements(os, r);
     }
     os << '}';
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "util/require.h"
 
@@ -184,8 +186,8 @@ SweepSpec ci_preset() {
 /// three-branch streaming algorithm on hard-planted-augs (|M| = n/4 =
 /// 2000 planted matchings, wing density beta), cardinality ratios
 /// against the planted optimum (no Blossom run: the optimum is known by
-/// construction). The bespoke bench_e6 binary wraps this preset and adds
-/// the lemma's structural (beta^2/32)|M| witness section on top.
+/// construction). The lemma's structural (beta^2/32)|M| witness bound is
+/// asserted by tests/test_unw_three_aug.cpp.
 SweepSpec e6_preset() {
   SweepSpec s;
   s.name = "E6";
@@ -231,10 +233,9 @@ SweepSpec e7_preset() {
 /// perfect matching can only be improved through cycles, so the layered
 /// repeated-cycle walk is what separates the reductions from greedy here.
 /// Family sizes map k cycles onto n = 4k vertices; the planted optimum
-/// makes ratios exact without a Blossom run. The bespoke bench_e8 binary
-/// wraps this preset and adds the path-only ablation
-/// (ReductionConfig::enable_cycles = false) on top — that knob is an
-/// ablation switch, deliberately not a SolverSpec axis.
+/// makes ratios exact without a Blossom run. The path-only ablation
+/// (ReductionConfig::enable_cycles = false) is a test, not a SolverSpec
+/// axis: tests/test_main_alg.cpp and tests/test_single_class.cpp.
 SweepSpec e8_preset() {
   SweepSpec s;
   s.name = "E8";
@@ -256,9 +257,9 @@ SweepSpec e8_preset() {
 /// solvers whose augmentation branches rely on tau filtering
 /// (rand-arrival, the reductions) vs greedy/local-ratio on uniform,
 /// exponential, and polynomial weights (the heavier the tail, the more a
-/// weight-oblivious augmentation can lose). The bespoke bench_e9 binary
-/// wraps this preset and adds the direct Wgt-Aug-Paths
-/// filtered-vs-unfiltered ablation (WgtAugPathsConfig::filtering = false).
+/// weight-oblivious augmentation can lose). The direct Wgt-Aug-Paths
+/// filtered-vs-unfiltered ablation (WgtAugPathsConfig::filtering = false)
+/// is asserted by tests/test_wgt_aug_paths.cpp.
 SweepSpec e9_preset() {
   SweepSpec s;
   s.name = "E9";
@@ -283,10 +284,9 @@ SweepSpec e9_preset() {
 /// hard-long-path family plants augmentations of length 2L+1, so the
 /// reductions (whose layered graphs walk up to max_layers layers) recover
 /// the planted optimum while greedy strands every unit. The family plants
-/// its optimum, so ratios are exact without a Blossom run. The bespoke
-/// bench_e10 binary wraps this preset and adds the direct max_layers
-/// ablation (TauConfig::max_layers is a config knob, deliberately not a
-/// SolverSpec axis).
+/// its optimum, so ratios are exact without a Blossom run. The direct
+/// max_layers ablation (TauConfig::max_layers is a config knob, not a
+/// SolverSpec axis) is asserted by tests/test_main_alg.cpp.
 SweepSpec e10_preset() {
   SweepSpec s;
   s.name = "E10";
@@ -308,9 +308,8 @@ SweepSpec e10_preset() {
 /// baseline is a 1/2-approximation on any order, but its stack S stays
 /// O(n polylog n) only on random-order streams. Each instance family
 /// appears twice — random and adversarial (increasing-weight) order — so
-/// the stack_size column shows the blow-up directly. The bespoke
-/// bench_e11 binary wraps this preset and adds the normalized growth
-/// columns (|S|/(n log n), |S|/m) over a larger size ladder.
+/// the stack_size column shows the blow-up directly;
+/// tests/test_local_ratio.cpp asserts the small stack on random order.
 SweepSpec e11_preset() {
   SweepSpec s;
   s.name = "E11";
@@ -336,10 +335,9 @@ SweepSpec e11_preset() {
 /// sensitivity through the registry: Rand-Arr-Matching (with greedy and
 /// local-ratio as order-robust baselines) on the E12 instance family
 /// (n = 800, m = 6400, exponential weights) streamed in random,
-/// clustered, and adversarial increasing-weight order. The bespoke
-/// bench_e12 binary wraps this preset and adds the bounded local-shuffle
-/// window ladder (gen::locally_shuffled_stream is a stream transform,
-/// deliberately not a GenSpec axis).
+/// clustered, and adversarial increasing-weight order. The memory claim
+/// (random order keeps the stored state small) is asserted on this
+/// family by tests/test_rand_arr_matching.cpp.
 SweepSpec e12_preset() {
   SweepSpec s;
   s.name = "E12";
@@ -364,9 +362,6 @@ SweepSpec e12_preset() {
 /// E13 / DESIGN.md §3.3 — the epsilon ladder of the substituted
 /// discretization: the multipass reduction across eps on the E13 family
 /// (n = 400, m = 2400, exponential weights), ratio vs the exact optimum.
-/// The bespoke bench_e13 binary wraps this preset and adds the direct
-/// granularity x tau-pair-budget ablation grid (TauConfig::granularity /
-/// max_pairs are config knobs, deliberately not SolverSpec axes).
 SweepSpec e13_preset() {
   SweepSpec s;
   s.name = "E13";
@@ -384,12 +379,25 @@ SweepSpec e13_preset() {
   return s;
 }
 
+using MakePreset = SweepSpec (*)();
+
+/// The one name -> preset table; preset_names() lists it in this order.
+constexpr std::pair<std::string_view, MakePreset> kPresets[] = {
+    {"ci", ci_preset},   {"e1", e1_preset},   {"e2", e2_preset},
+    {"e3", e3_preset},   {"e4", e4_preset},   {"e5", e5_preset},
+    {"e6", e6_preset},   {"e7", e7_preset},   {"e8", e8_preset},
+    {"e9", e9_preset},   {"e10", e10_preset}, {"e11", e11_preset},
+    {"e12", e12_preset}, {"e13", e13_preset},
+};
+
 }  // namespace
 
 const std::vector<std::string>& preset_names() {
-  static const std::vector<std::string> names = {
-      "ci", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
-      "e11", "e12", "e13"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& entry : kPresets) out.emplace_back(entry.first);
+    return out;
+  }();
   return names;
 }
 
@@ -399,24 +407,15 @@ bool is_known_preset(const std::string& name) {
 }
 
 SweepSpec preset(const std::string& name) {
-  if (name == "ci") return ci_preset();
-  if (name == "e1") return e1_preset();
-  if (name == "e2") return e2_preset();
-  if (name == "e3") return e3_preset();
-  if (name == "e4") return e4_preset();
-  if (name == "e5") return e5_preset();
-  if (name == "e6") return e6_preset();
-  if (name == "e7") return e7_preset();
-  if (name == "e8") return e8_preset();
-  if (name == "e9") return e9_preset();
-  if (name == "e10") return e10_preset();
-  if (name == "e11") return e11_preset();
-  if (name == "e12") return e12_preset();
-  if (name == "e13") return e13_preset();
+  for (const auto& [key, build] : kPresets) {
+    if (key == name) return build();
+  }
+  std::string known;
+  for (const std::string& n : preset_names()) {
+    known += (known.empty() ? "" : ", ") + n;
+  }
   WMATCH_REQUIRE(false,
-                 "unknown bench preset '" + name +
-                     "' (known: ci, e1, e2, e3, e4, e5, e6, e7, e8, e9, "
-                     "e10, e11, e12, e13)");
+                 "unknown bench preset '" + name + "' (known: " + known + ")");
   return {};  // unreachable
 }
 

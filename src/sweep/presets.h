@@ -1,9 +1,8 @@
 // Named SweepSpecs: the paper's parametric experiments (e1 through e13)
 // expressed as declarative grids, plus the small deterministic "ci" grid
 // the perf-regression gate diffs against bench/baselines/ci_baseline.json.
-// `wmatch_cli bench --preset=<name>` and the bench_e* thin wrappers both
-// resolve through here, so the CLI, the benches, and CI run the exact
-// same grids.
+// `wmatch_cli bench --preset=<name>` is the one way to run them, so local
+// runs and CI execute the exact same grids.
 #pragma once
 
 #include <string>

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/runtime.h"
 #include "service/scheduler.h"
@@ -94,32 +95,16 @@ SweepResult run_sweep(const SweepSpec& spec) {
     jobs.push_back(std::move(job));
   }
 
-  const service::BatchResult batch = scheduler.run(jobs);
+  service::BatchResult batch = scheduler.run(jobs);
   result.rows.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const service::JobResult& jr = batch.results[i];
+    service::JobResult& jr = batch.results[i];
     // Pre-service behaviour: a failing cell aborted the whole sweep.
     if (!jr.ok()) {
       throw std::runtime_error("sweep cell '" + cells[i].solver + "' on '" +
                                cells[i].gen.generator + "': " + jr.error);
     }
-    SweepRow row;
-    row.cell = cells[i];
-    row.instance_name = jr.instance_name;
-    row.n = jr.n;
-    row.m = jr.m;
-    row.skipped = jr.skipped;
-    if (!jr.skipped) {
-      row.cost = jr.cost;
-      row.wall_ms_median = jr.wall_ms_median;
-      row.wall_ms_min = jr.wall_ms_min;
-      row.matching_size = jr.matching_size;
-      row.matching_weight = jr.matching_weight;
-      row.achieved = jr.achieved;
-      row.optimum = jr.optimum;
-      row.stats = jr.stats;
-    }
-    result.rows.push_back(std::move(row));
+    result.rows.push_back({cells[i], std::move(jr)});
   }
   return result;
 }
@@ -128,20 +113,59 @@ namespace {
 
 bool any_ratio(const std::vector<SweepRow>& rows) {
   return std::any_of(rows.begin(), rows.end(),
-                     [](const SweepRow& r) { return r.has_ratio(); });
+                     [](const SweepRow& r) { return r.job.has_ratio(); });
 }
 
 std::string stat_cell(const SweepRow& row, const std::string& name) {
-  for (const auto& [key, value] : row.stats) {
+  for (const auto& [key, value] : row.job.stats) {
     if (key == name) return Table::fmt(value, 1);
   }
   return "-";
+}
+
+using LabelFields = std::vector<std::pair<std::string, std::string>>;
+
+/// The GenSpec fields a family label may name, as (name, value) pairs.
+/// n and m have their own table columns and the seed is a grid axis.
+LabelFields label_fields(const api::GenSpec& g) {
+  return {{"attach", std::to_string(g.attach)},
+          {"radius", util::json_number(g.radius)},
+          {"aug_length", std::to_string(g.aug_length)},
+          {"beta", util::json_number(g.beta)},
+          {"weights", api::to_string(g.weights)},
+          {"max_weight", std::to_string(g.max_weight)},
+          {"order", api::to_string(g.order)}};
+}
+
+/// The instance column of both tables, one label per family: the
+/// generator plus each field in which the family differs from another
+/// family of the same generator, e.g. "erdos_renyi order=increasing-weight".
+std::vector<std::string> family_labels(
+    const std::vector<api::GenSpec>& families) {
+  std::vector<LabelFields> fields;
+  for (const api::GenSpec& g : families) fields.push_back(label_fields(g));
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < families.size(); ++i) {
+    std::string label = families[i].generator;
+    for (std::size_t f = 0; f < fields[i].size(); ++f) {
+      for (std::size_t k = 0; k < families.size(); ++k) {
+        if (families[k].generator == families[i].generator &&
+            fields[k][f].second != fields[i][f].second) {
+          label += " " + fields[i][f].first + "=" + fields[i][f].second;
+          break;
+        }
+      }
+    }
+    labels.push_back(std::move(label));
+  }
+  return labels;
 }
 
 }  // namespace
 
 Table SweepResult::table() const {
   const bool with_ratio = any_ratio(rows);
+  const std::vector<std::string> labels = family_labels(spec.instances);
   std::vector<std::string> header = {"solver", "instance", "n",     "m",
                                      "eps",    "thr",      "seed",  "size",
                                      "weight", "passes",   "rounds",
@@ -150,28 +174,31 @@ Table SweepResult::table() const {
   for (const std::string& s : spec.stat_columns) header.push_back(s);
   Table t(header);
   for (const SweepRow& r : rows) {
+    const service::JobResult& j = r.job;
     std::vector<std::string> row = {
         r.cell.solver,
-        r.cell.gen.generator,
-        Table::fmt(r.n),
-        Table::fmt(r.m),
+        labels[r.cell.instance_idx],
+        Table::fmt(j.n),
+        Table::fmt(j.m),
         Table::fmt(r.cell.epsilon, 2),
         Table::fmt(r.cell.threads),
         Table::fmt(static_cast<std::size_t>(r.cell.seed))};
-    if (r.skipped) {
+    if (j.skipped) {
       row.push_back("skipped");  // in place of the size column
       while (row.size() < t.columns()) row.push_back("-");
       t.add_row(std::move(row));
       continue;
     }
-    row.push_back(Table::fmt(r.matching_size));
-    row.push_back(Table::fmt(r.matching_weight));
-    if (with_ratio) row.push_back(r.has_ratio() ? Table::fmt(r.ratio(), 4) : "-");
-    row.push_back(Table::fmt(r.cost.passes));
-    row.push_back(Table::fmt(r.cost.rounds));
-    row.push_back(Table::fmt(r.cost.memory_peak_words));
-    row.push_back(Table::fmt(r.cost.bb_invocations));
-    row.push_back(Table::fmt(r.wall_ms_median, 1));
+    row.push_back(Table::fmt(j.matching_size));
+    row.push_back(Table::fmt(j.matching_weight));
+    if (with_ratio) {
+      row.push_back(j.has_ratio() ? Table::fmt(j.ratio(), 4) : "-");
+    }
+    row.push_back(Table::fmt(j.cost.passes));
+    row.push_back(Table::fmt(j.cost.rounds));
+    row.push_back(Table::fmt(j.cost.memory_peak_words));
+    row.push_back(Table::fmt(j.cost.bb_invocations));
+    row.push_back(Table::fmt(j.wall_ms_median, 1));
     for (const std::string& s : spec.stat_columns) {
       row.push_back(stat_cell(r, s));
     }
@@ -182,6 +209,7 @@ Table SweepResult::table() const {
 
 Table SweepResult::summary_table() const {
   const bool with_ratio = any_ratio(rows);
+  const std::vector<std::string> labels = family_labels(spec.instances);
 
   struct Group {
     const SweepRow* first = nullptr;
@@ -200,28 +228,29 @@ Table SweepResult::summary_table() const {
     Group& g = groups[{r.cell.solver_idx, r.cell.instance_idx,
                        r.cell.epsilon_idx, r.cell.threads_idx}];
     if (!g.first) g.first = &r;
-    if (r.skipped) {
+    const service::JobResult& j = r.job;
+    if (j.skipped) {
       ++g.skipped;
       continue;
     }
     if (g.ran == 0) {
-      g.passes_min = g.passes_max = r.cost.passes;
-      g.rounds_min = g.rounds_max = r.cost.rounds;
-      g.mem_min = g.mem_max = r.cost.memory_peak_words;
+      g.passes_min = g.passes_max = j.cost.passes;
+      g.rounds_min = g.rounds_max = j.cost.rounds;
+      g.mem_min = g.mem_max = j.cost.memory_peak_words;
     } else {
-      g.passes_min = std::min(g.passes_min, r.cost.passes);
-      g.passes_max = std::max(g.passes_max, r.cost.passes);
-      g.rounds_min = std::min(g.rounds_min, r.cost.rounds);
-      g.rounds_max = std::max(g.rounds_max, r.cost.rounds);
-      g.mem_min = std::min(g.mem_min, r.cost.memory_peak_words);
-      g.mem_max = std::max(g.mem_max, r.cost.memory_peak_words);
+      g.passes_min = std::min(g.passes_min, j.cost.passes);
+      g.passes_max = std::max(g.passes_max, j.cost.passes);
+      g.rounds_min = std::min(g.rounds_min, j.cost.rounds);
+      g.rounds_max = std::max(g.rounds_max, j.cost.rounds);
+      g.mem_min = std::min(g.mem_min, j.cost.memory_peak_words);
+      g.mem_max = std::max(g.mem_max, j.cost.memory_peak_words);
     }
     ++g.ran;
-    if (r.has_ratio()) g.ratio.add(r.ratio());
-    g.wall.push_back(r.wall_ms_median);
+    if (j.has_ratio()) g.ratio.add(j.ratio());
+    g.wall.push_back(j.wall_ms_median);
     g.stat.resize(spec.stat_columns.size());
     for (std::size_t s = 0; s < spec.stat_columns.size(); ++s) {
-      for (const auto& [key, value] : r.stats) {
+      for (const auto& [key, value] : j.stats) {
         if (key == spec.stat_columns[s]) {
           g.stat[s].add(value);
           break;
@@ -243,10 +272,13 @@ Table SweepResult::summary_table() const {
   Table t(header);
   for (const auto& [key, g] : groups) {
     const SweepRow& f = *g.first;
-    std::vector<std::string> row = {
-        f.cell.solver,        f.cell.gen.generator, Table::fmt(f.n),
-        Table::fmt(f.m),      Table::fmt(f.cell.epsilon, 2),
-        Table::fmt(f.cell.threads), Table::fmt(g.ran)};
+    std::vector<std::string> row = {f.cell.solver,
+                                    labels[f.cell.instance_idx],
+                                    Table::fmt(f.job.n),
+                                    Table::fmt(f.job.m),
+                                    Table::fmt(f.cell.epsilon, 2),
+                                    Table::fmt(f.cell.threads),
+                                    Table::fmt(g.ran)};
     if (g.ran == 0) {
       row.back() = "skipped";
       while (row.size() < t.columns()) row.push_back("-");
@@ -313,11 +345,7 @@ void SweepResult::print_bench_json(std::ostream& os) const {
     util::write_json_string(os, api::to_string(g.order));
     os << '}';
   }
-  os << "]},";
-
-  table().print_json_fragment(os);
-
-  os << ",\"results\":[";
+  os << "]},\"results\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     if (i) os << ',';
@@ -326,42 +354,17 @@ void SweepResult::print_bench_json(std::ostream& os) const {
     os << ",\"generator\":";
     util::write_json_string(os, r.cell.gen.generator);
     os << ",\"instance\":";
-    util::write_json_string(os, r.instance_name);
+    util::write_json_string(os, r.job.instance_name);
     // The family index keeps results distinguishable (and the gate's keys
     // unique) when two families share generator/n/m and differ only in,
     // say, the weight distribution; it is stable across runs of one spec.
     os << ",\"family\":" << r.cell.instance_idx << ",\"weights\":";
     util::write_json_string(os, api::to_string(r.cell.gen.weights));
-    os << ",\"n\":" << r.n << ",\"m\":" << r.m
+    os << ",\"n\":" << r.job.n << ",\"m\":" << r.job.m
        << ",\"epsilon\":" << util::json_number(r.cell.epsilon)
        << ",\"threads\":" << r.cell.threads << ",\"seed\":" << r.cell.seed
-       << ",\"skipped\":" << (r.skipped ? "true" : "false");
-    if (!r.skipped) {
-      const api::CostReport& c = r.cost;
-      os << ",\"counters\":{\"passes\":" << c.passes
-         << ",\"rounds\":" << c.rounds
-         << ",\"memory_peak_words\":" << c.memory_peak_words
-         << ",\"communication_words\":" << c.communication_words
-         << ",\"bb_invocations\":" << c.bb_invocations
-         << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
-         << ",\"matching_size\":" << r.matching_size
-         << ",\"matching_weight\":" << r.matching_weight << '}';
-      if (r.has_ratio()) {
-        os << ",\"optimum\":" << util::json_number(r.optimum)
-           << ",\"ratio\":" << util::json_number(r.ratio());
-      }
-      os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-         << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-      os << ",\"stats\":{";
-      bool first = true;
-      for (const auto& [name, value] : r.stats) {
-        if (!first) os << ',';
-        first = false;
-        util::write_json_string(os, name);
-        os << ':' << util::json_number(value);
-      }
-      os << '}';
-    }
+       << ",\"skipped\":" << (r.job.skipped ? "true" : "false");
+    if (!r.job.skipped) service::print_bench_measurements(os, r.job);
     os << '}';
   }
   os << "]}\n";

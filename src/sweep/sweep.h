@@ -3,27 +3,25 @@
 //
 // A SweepSpec names a cartesian grid — solver names x GenSpec instance
 // families x epsilon x threads x seed — plus repetition/warmup counts.
-// SweepRunner expands the grid, drives every cell through api::Registry
-// against a cached Instance, and aggregates the CostReports: exact model
-// counters (passes / rounds / memory words / black-box calls) are taken
-// verbatim (they are deterministic functions of the seed and identical
-// across repetitions and thread counts), while wall clock is summarized
-// as median/min over the repetitions.
+// run_sweep expands the grid, runs every cell as a service job against a
+// cached Instance, and keeps each cell's JobResult: exact model counters
+// (passes / rounds / memory words / black-box calls) are deterministic
+// functions of the seed, identical across repetitions and thread counts,
+// while wall clock is summarized as median/min over the repetitions.
 //
 // Output is a Table (per-cell or seed-aggregated summary) and a
-// BENCH-compatible, schema-versioned JSON document (BENCH_<name>.json):
-// the legacy {"bench","columns","rows"} keys for trend tooling plus a
-// structured "results" array the CI perf-regression gate diffs against
+// schema-versioned BENCH JSON document (BENCH_<name>.json) whose
+// "results" array the CI perf-regression gate diffs against
 // bench/baselines/ci_baseline.json.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/api.h"
+#include "service/job.h"
 #include "util/table.h"
 
 namespace wmatch::sweep {
@@ -79,27 +77,11 @@ std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
 struct SweepRow {
   SweepCell cell;
-  std::string instance_name;
-  std::size_t n = 0, m = 0;
-  /// True when the solver cannot run this instance (bipartite-only solver
-  /// on a non-bipartite instance); counters stay zero.
-  bool skipped = false;
-  /// Exact counters from the run; cost.wall_ms is the median over the
-  /// repetitions.
-  api::CostReport cost;
-  std::size_t matching_size = 0;
-  Weight matching_weight = 0;
-  /// Optimum of the solver's registered objective (planted or Blossom);
-  /// -1 when unknown. `ratio()` is achieved/optimum.
-  double optimum = -1.0;
-  double achieved = 0.0;  ///< weight or cardinality, per the objective
-  double wall_ms_median = 0.0, wall_ms_min = 0.0;
-  std::vector<std::pair<std::string, double>> stats;
-
-  bool has_ratio() const { return !skipped && optimum >= 0.0; }
-  double ratio() const {
-    return optimum == 0.0 ? 1.0 : achieved / optimum;
-  }
+  /// The cell's job. `job.skipped` marks a bipartite-only solver on a
+  /// non-bipartite instance (counters stay zero); otherwise it carries the
+  /// exact counters (cost.wall_ms is the median over the repetitions),
+  /// the matching, the objective's optimum when known, and solver stats.
+  service::JobResult job;
 };
 
 struct SweepResult {
@@ -107,13 +89,16 @@ struct SweepResult {
   std::vector<SweepRow> rows;  ///< one per grid cell, in expansion order
 
   /// One table row per grid cell (exact counters, wall ms, stat columns).
+  /// Both tables label each instance family by its generator plus the
+  /// GenSpec fields that tell it apart from the spec's other families of
+  /// that generator, e.g. "erdos_renyi order=increasing-weight".
   Table table() const;
   /// Seed axis aggregated: one row per (solver, instance, epsilon,
   /// threads) with ratio mean +- ci95 and median-of-medians wall ms.
   Table summary_table() const;
-  /// BENCH_<name>.json: {"bench","schema_version","spec","columns",
-  /// "rows","results"}. Counters in "results" are bit-identical across
-  /// thread counts at equal seed.
+  /// BENCH_<name>.json: {"bench","schema_version","spec","results"}.
+  /// Counters in "results" are bit-identical across thread counts at
+  /// equal seed.
   void print_bench_json(std::ostream& os) const;
 };
 
@@ -121,16 +106,5 @@ struct SweepResult {
 /// their Blossom optima) are computed once per (family, seed) and shared
 /// across solvers/epsilons/threads.
 SweepResult run_sweep(const SweepSpec& spec);
-
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {}
-
-  std::size_t grid_size() const { return expand_grid(spec_).size(); }
-  SweepResult run() const { return run_sweep(spec_); }
-
- private:
-  SweepSpec spec_;
-};
 
 }  // namespace wmatch::sweep

@@ -1,6 +1,6 @@
-// Minimal JSON emission helpers shared by Table::print_json and the api
-// layer's SolveResult reports. Only writing is supported — the library
-// never parses JSON.
+// Minimal JSON emission helpers shared by the api layer's SolveResult
+// reports and the sweep / service / net documents. Parsing lives in
+// util/json_parse.h.
 #pragma once
 
 #include <cmath>

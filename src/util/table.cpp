@@ -5,7 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/json.h"
 #include "util/require.h"
 
 namespace wmatch {
@@ -45,54 +44,6 @@ void Table::print(std::ostream& os) const {
   std::size_t total = 0;
   for (auto w : width) total += w + 2;
   os << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) line(row);
-}
-
-namespace {
-
-void json_string(std::ostream& os, const std::string& s) {
-  util::write_json_string(os, s);
-}
-
-void json_string_row(std::ostream& os, const std::vector<std::string>& cells) {
-  os << '[';
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (c) os << ',';
-    json_string(os, cells[c]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
-void Table::print_json(std::ostream& os, const std::string& id) const {
-  os << "{\"bench\":";
-  json_string(os, id);
-  os << ',';
-  print_json_fragment(os);
-  os << "}\n";
-}
-
-void Table::print_json_fragment(std::ostream& os) const {
-  os << "\"columns\":";
-  json_string_row(os, header_);
-  os << ",\"rows\":[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) os << ',';
-    json_string_row(os, rows_[r]);
-  }
-  os << ']';
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto line = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  line(header_);
   for (const auto& row : rows_) line(row);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "api/instance.h"
 #include "baselines/greedy.h"
 #include "core/rand_arr_matching.h"
 #include "exact/blossom.h"
@@ -82,6 +83,32 @@ TEST(RandArrMatching, MemoryDiagnosticsPopulated) {
   EXPECT_GE(result.stored_peak, result.stack_size + result.t_size);
   // Semi-streaming: far below storing the whole graph.
   EXPECT_LT(result.stored_peak, 2 * g.num_edges());
+}
+
+// The e12 preset's claim (Lemmas 3.3 / 3.15): random arrival is what
+// keeps the stored state S + T small. On the preset's family and seeds,
+// the adversarial increasing-weight order about doubles stored_peak
+// (2,674-2,751 words on random order against 5,453-5,483).
+TEST(RandArrMatching, RandomOrderStoresLessThanIncreasingWeightOrder) {
+  for (std::uint64_t seed : {12000u, 12001u, 12002u}) {
+    api::GenSpec spec;
+    spec.n = 800;
+    spec.m = 6400;
+    spec.weights = gen::WeightDist::kExponential;
+    spec.max_weight = 1 << 12;
+    spec.seed = seed;
+    const api::Instance random_order = api::generate_instance(spec);
+    spec.order = api::ArrivalOrder::kIncreasingWeight;
+    const api::Instance increasing = api::generate_instance(spec);
+    Rng rng_random(seed), rng_increasing(seed);
+    const auto on_random =
+        core::rand_arr_matching(random_order.stream,
+                                random_order.num_vertices(), {}, rng_random);
+    const auto on_increasing =
+        core::rand_arr_matching(increasing.stream, increasing.num_vertices(),
+                                {}, rng_increasing);
+    EXPECT_LT(on_random.stored_peak, on_increasing.stored_peak) << seed;
+  }
 }
 
 TEST(RandArrMatching, ExplicitPrefixFraction) {

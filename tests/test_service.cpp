@@ -504,9 +504,9 @@ TEST(SweepService, SweepJobsKnobKeepsCountersBitIdentical) {
   const sweep::SweepResult parallel = sweep::run_sweep(spec);
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
-    const sweep::SweepRow& a = serial.rows[i];
-    const sweep::SweepRow& b = parallel.rows[i];
-    EXPECT_EQ(a.cell.solver, b.cell.solver);
+    const service::JobResult& a = serial.rows[i].job;
+    const service::JobResult& b = parallel.rows[i].job;
+    EXPECT_EQ(a.solver, b.solver);
     EXPECT_EQ(a.skipped, b.skipped);
     EXPECT_EQ(a.matching_weight, b.matching_weight);
     EXPECT_EQ(a.cost.passes, b.cost.passes);

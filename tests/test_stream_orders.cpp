@@ -46,48 +46,6 @@ TEST(StreamOrders, ClusteredGroupsByMinEndpoint) {
   EXPECT_EQ(s.size(), g.num_edges());
 }
 
-TEST(StreamOrders, LocallyShuffledIsPermutation) {
-  Graph g = test_graph(3);
-  Rng rng(3);
-  for (std::size_t window : {0u, 1u, 8u, 64u, 100000u}) {
-    Rng local = rng.split();
-    auto s = gen::locally_shuffled_stream(freeze(g), window, local);
-    EXPECT_TRUE(same_edge_multiset(s, {g.edges().begin(), g.edges().end()}))
-        << window;
-  }
-}
-
-TEST(StreamOrders, WindowZeroIsAdversarial) {
-  Graph g = test_graph(4);
-  Rng rng(4);
-  auto s0 = gen::locally_shuffled_stream(freeze(g), 0, rng);
-  auto adv = gen::increasing_weight_stream(freeze(g));
-  ASSERT_EQ(s0.size(), adv.size());
-  for (std::size_t i = 0; i < s0.size(); ++i) EXPECT_EQ(s0[i], adv[i]);
-}
-
-TEST(StreamOrders, LargerWindowsIncreaseDisplacement) {
-  Graph g = test_graph(5);
-  auto adv = gen::increasing_weight_stream(freeze(g));
-  auto displacement = [&](const std::vector<Edge>& s) {
-    // Sum of |position - sorted position| as a disorder measure.
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      for (std::size_t j = 0; j < adv.size(); ++j) {
-        if (s[i] == adv[j]) {
-          total += i > j ? i - j : j - i;
-          break;
-        }
-      }
-    }
-    return total;
-  };
-  Rng r1(6), r2(6);
-  auto small = gen::locally_shuffled_stream(freeze(g), 2, r1);
-  auto large = gen::locally_shuffled_stream(freeze(g), 200, r2);
-  EXPECT_LT(displacement(small), displacement(large));
-}
-
 TEST(StreamOrders, RandArrMatchingDegradesGracefullyOffRandomOrder) {
   // The algorithm's guarantee needs random arrivals; on other orders it
   // must still emit a valid matching (robustness, not a ratio claim).

@@ -9,6 +9,7 @@
 
 #include "exact/blossom.h"
 #include "graph/matching.h"
+#include "service/job.h"
 #include "sweep/presets.h"
 #include "sweep/sweep.h"
 
@@ -38,7 +39,6 @@ TEST(SweepGrid, ExpansionCountIsProductOfAxes) {
   spec.threads = {1, 2};
   // 3 solvers x 2 instances x 3 epsilons x 2 threads x 2 seeds.
   EXPECT_EQ(sweep::expand_grid(spec).size(), 3u * 2u * 3u * 2u * 2u);
-  EXPECT_EQ(sweep::SweepRunner(spec).grid_size(), 72u);
 }
 
 TEST(SweepGrid, CellsCarryResolvedAxisValues) {
@@ -64,7 +64,7 @@ TEST(SweepGrid, EmptyAxesThrow) {
   EXPECT_THROW(sweep::expand_grid(spec), std::invalid_argument);
 }
 
-TEST(SweepRunner, UnknownSolverThrows) {
+TEST(RunSweep, UnknownSolverThrows) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"no-such-solver"};
   EXPECT_THROW(sweep::run_sweep(spec), std::invalid_argument);
@@ -74,7 +74,7 @@ TEST(SweepRunner, UnknownSolverThrows) {
 // bit-identical across thread counts at equal seed — only wall clock may
 // differ. Covers the parallelized reduction solvers (per-class loop) at
 // 1 / 2 / 8 threads, including the now-metered reduction-hk memory column.
-TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
+TEST(RunSweep, CountersAreDeterministicAcrossThreadCounts) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"greedy", "rand-arrival", "reduction-hk", "reduction-mpc",
                   "reduction-exact"};
@@ -88,33 +88,32 @@ TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
        {sweep::run_sweep(t2), sweep::run_sweep(t8)}) {
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (std::size_t i = 0; i < a.rows.size(); ++i) {
-      const sweep::SweepRow& x = a.rows[i];
-      const sweep::SweepRow& y = b.rows[i];
-      ASSERT_EQ(x.cell.solver, y.cell.solver);
+      const service::JobResult& x = a.rows[i].job;
+      const service::JobResult& y = b.rows[i].job;
+      ASSERT_EQ(x.solver, y.solver);
       EXPECT_EQ(x.skipped, y.skipped);
-      EXPECT_EQ(x.matching_size, y.matching_size) << x.cell.solver;
-      EXPECT_EQ(x.matching_weight, y.matching_weight) << x.cell.solver;
-      EXPECT_EQ(x.cost.passes, y.cost.passes) << x.cell.solver;
-      EXPECT_EQ(x.cost.rounds, y.cost.rounds) << x.cell.solver;
+      EXPECT_EQ(x.matching_size, y.matching_size) << x.solver;
+      EXPECT_EQ(x.matching_weight, y.matching_weight) << x.solver;
+      EXPECT_EQ(x.cost.passes, y.cost.passes) << x.solver;
+      EXPECT_EQ(x.cost.rounds, y.cost.rounds) << x.solver;
       EXPECT_EQ(x.cost.memory_peak_words, y.cost.memory_peak_words)
-          << x.cell.solver;
+          << x.solver;
       EXPECT_EQ(x.cost.communication_words, y.cost.communication_words)
-          << x.cell.solver;
-      EXPECT_EQ(x.cost.bb_invocations, y.cost.bb_invocations)
-          << x.cell.solver;
+          << x.solver;
+      EXPECT_EQ(x.cost.bb_invocations, y.cost.bb_invocations) << x.solver;
       EXPECT_EQ(x.cost.bb_max_invocation_cost, y.cost.bb_max_invocation_cost)
-          << x.cell.solver;
+          << x.solver;
     }
   }
   // The metering fix: reduction-hk's semi-streaming storage reports.
   for (const sweep::SweepRow& row : a.rows) {
-    if (row.cell.solver == "reduction-hk" && !row.skipped) {
-      EXPECT_GT(row.cost.memory_peak_words, 0u) << row.instance_name;
+    if (row.cell.solver == "reduction-hk" && !row.job.skipped) {
+      EXPECT_GT(row.job.cost.memory_peak_words, 0u) << row.job.instance_name;
     }
   }
 }
 
-TEST(SweepRunner, RepetitionsKeepCountersAndAggregateWall) {
+TEST(RunSweep, RepetitionsKeepCountersAndAggregateWall) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"local-ratio"};
   spec.seeds = {7};
@@ -129,14 +128,15 @@ TEST(SweepRunner, RepetitionsKeepCountersAndAggregateWall) {
   const sweep::SweepResult reps = sweep::run_sweep(spec);
   ASSERT_EQ(once.rows.size(), reps.rows.size());
   for (std::size_t i = 0; i < reps.rows.size(); ++i) {
-    EXPECT_EQ(once.rows[i].cost.memory_peak_words,
-              reps.rows[i].cost.memory_peak_words);
-    EXPECT_EQ(once.rows[i].matching_weight, reps.rows[i].matching_weight);
-    EXPECT_GE(reps.rows[i].wall_ms_median, reps.rows[i].wall_ms_min);
+    EXPECT_EQ(once.rows[i].job.cost.memory_peak_words,
+              reps.rows[i].job.cost.memory_peak_words);
+    EXPECT_EQ(once.rows[i].job.matching_weight,
+              reps.rows[i].job.matching_weight);
+    EXPECT_GE(reps.rows[i].job.wall_ms_median, reps.rows[i].job.wall_ms_min);
   }
 }
 
-TEST(SweepRunner, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
+TEST(RunSweep, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
   sweep::SweepSpec spec;
   spec.solvers = {"exact-hk"};
   api::GenSpec er;
@@ -150,9 +150,9 @@ TEST(SweepRunner, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
   spec.seeds = {3};
   const sweep::SweepResult r = sweep::run_sweep(spec);
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_TRUE(r.rows[0].skipped);
-  EXPECT_FALSE(r.rows[1].skipped);
-  EXPECT_GT(r.rows[1].matching_size, 0u);
+  EXPECT_TRUE(r.rows[0].job.skipped);
+  EXPECT_FALSE(r.rows[1].job.skipped);
+  EXPECT_GT(r.rows[1].job.matching_size, 0u);
   // Tables render for mixed skipped/ran rows without arity errors.
   EXPECT_EQ(r.table().rows(), 2u);
   EXPECT_GE(r.summary_table().rows(), 2u);
@@ -168,13 +168,45 @@ TEST(SweepJson, EmitsSchemaVersionCountersAndTableKeys) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bench\":\"tiny\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"columns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"rows\":"), std::string::npos);
+  // The gates read "results"; the table is not duplicated into the JSON.
+  EXPECT_EQ(json.find("\"columns\""), std::string::npos);
+  EXPECT_EQ(json.find("\"rows\""), std::string::npos);
   EXPECT_NE(json.find("\"results\":"), std::string::npos);
   EXPECT_NE(json.find("\"counters\":{\"passes\":1"), std::string::npos);
   EXPECT_NE(json.find("\"algorithm\":\"greedy\""), std::string::npos);
   EXPECT_NE(json.find("\"generator\":\"hard-greedy-trap\""),
             std::string::npos);
+}
+
+// Families that differ only in a GenSpec field other than n / m must not
+// print as identical rows: the instance column names the field.
+TEST(SweepTable, InstanceColumnNamesTheFieldsThatTellFamiliesApart) {
+  sweep::SweepSpec spec;
+  spec.solvers = {"greedy"};
+  api::GenSpec random_order;
+  random_order.n = 30;
+  random_order.m = 60;
+  api::GenSpec increasing = random_order;
+  increasing.order = api::ArrivalOrder::kIncreasingWeight;
+  api::GenSpec trap;
+  trap.generator = "hard-greedy-trap";
+  trap.n = 32;
+  spec.instances = {random_order, increasing, trap};
+  spec.seeds = {3, 4};
+  const sweep::SweepResult r = sweep::run_sweep(spec);
+  for (const Table& t : {r.table(), r.summary_table()}) {
+    std::ostringstream os;
+    t.print(os);
+    const std::string text = os.str();
+    EXPECT_NE(text.find("erdos_renyi order=random "), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("erdos_renyi order=increasing-weight "),
+              std::string::npos)
+        << text;
+    // A generator with one family keeps its bare name.
+    EXPECT_NE(text.find("hard-greedy-trap "), std::string::npos) << text;
+    EXPECT_EQ(text.find("hard-greedy-trap order"), std::string::npos) << text;
+  }
 }
 
 // ---- Hard-instance GenSpec round-trips ----

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.h"
 #include "util/json_parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -168,7 +169,7 @@ TEST(Stats, MedianOddAndEven) {
   EXPECT_THROW(median({}), std::invalid_argument);
 }
 
-TEST(Table, PrintsAlignedRowsAndCsv) {
+TEST(Table, PrintsAlignedRows) {
   Table t({"n", "ratio"});
   t.add_row({"100", Table::fmt(0.51234, 3)});
   t.add_row({"200", Table::fmt(0.5, 3)});
@@ -178,10 +179,6 @@ TEST(Table, PrintsAlignedRowsAndCsv) {
   std::string s = os.str();
   EXPECT_NE(s.find("ratio"), std::string::npos);
   EXPECT_NE(s.find("0.512"), std::string::npos);
-  std::ostringstream csv;
-  t.print_csv(csv);
-  EXPECT_NE(csv.str().find("n,ratio"), std::string::npos);
-  EXPECT_NE(csv.str().find("200,0.500"), std::string::npos);
 }
 
 TEST(Table, RejectsArityMismatch) {
@@ -191,22 +188,20 @@ TEST(Table, RejectsArityMismatch) {
 
 // Regression (ISSUE 2): algorithm / generator names containing quotes,
 // backslashes, or control characters must escape to valid JSON.
-TEST(Table, PrintJsonEscapesStringCells) {
-  Table t({"algorithm", "value"});
-  t.add_row({"quote \" backslash \\", "1"});
-  t.add_row({"newline \n tab \t bell \x01", "2"});
+TEST(JsonWrite, EscapesQuotesBackslashesAndControlCharacters) {
   std::ostringstream os;
-  t.print_json(os, "id \"quoted\"");
+  for (const char* name : {"id \"quoted\"", "quote \" backslash \\",
+                           "newline \n tab \t bell \x01"}) {
+    util::write_json_string(os, name);
+    os << ',';
+  }
   const std::string s = os.str();
 
   EXPECT_NE(s.find("\"id \\\"quoted\\\"\""), std::string::npos);
-  EXPECT_NE(s.find("quote \\\" backslash \\\\"), std::string::npos);
-  EXPECT_NE(s.find("newline \\n tab \\t bell \\u0001"), std::string::npos);
-  // No raw control characters may survive inside the document (the only
-  // one allowed is the terminating newline).
-  ASSERT_FALSE(s.empty());
-  EXPECT_EQ(s.back(), '\n');
-  for (std::size_t i = 0; i + 1 < s.size(); ++i) {
+  EXPECT_NE(s.find("\"quote \\\" backslash \\\\\""), std::string::npos);
+  EXPECT_NE(s.find("\"newline \\n tab \\t bell \\u0001\""), std::string::npos);
+  // No raw control character may survive the escaping.
+  for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_GE(static_cast<unsigned char>(s[i]), 0x20u) << "index " << i;
   }
 }
