@@ -62,8 +62,11 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   for (const auto& b : buckets.unmatched) bucket_words += b.size();
   meter.add(bucket_words);
 
-  std::vector<TauPair> pairs = pairs_for_values(
-      buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng);
+  // Nothing draws from rng after the last repetition's pairs, so that call
+  // may skip sampling that can add no pair.
+  std::vector<TauPair> pairs =
+      pairs_for_values(buckets.matched_values(), buckets.unmatched_values(),
+                       tau_cfg, rng, /*rng_discarded=*/rep + 1 == reps);
 
   for (const TauPair& pair : pairs) {
     LayeredGraph lg =

@@ -55,7 +55,9 @@ struct SingleClassOptions {
 
 /// The tau pairs are generated internally per class via pairs_for_values,
 /// restricted to the quantized weights that occur under this class's unit
-/// (see tau.h for the substitution rationale).
+/// (see tau.h for the substitution rationale). rng's state after the call
+/// is not part of the contract: the last pair sampling may skip draws that
+/// could add no pair.
 SingleClassResult find_class_augmentations(const GraphView& g,
                                            const Matching& m,
                                            Weight w_class,

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <unordered_set>
 
+#include "obs/metrics.h"
 #include "util/require.h"
 
 namespace wmatch::core {
@@ -89,11 +90,68 @@ struct PairEq {
   }
 };
 
-}  // namespace
+std::size_t sat_add(std::size_t x, std::size_t y, std::size_t cap) {
+  return std::min(cap, x + y);
+}
 
-std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
-                                      const std::vector<int>& b_vals_in,
-                                      const TauConfig& cfg, Rng& rng) {
+std::size_t sat_mul(std::size_t x, std::size_t y, std::size_t cap) {
+  return x != 0 && y > cap / x ? cap : std::min(cap, x * y);
+}
+
+// One more factor of a sum-convolution: next[s] counts the tuples counted
+// by `sums`, each extended by one value of `vals` (ascending), whose sum is
+// s < sums.size(). Saturates at `cap`.
+std::vector<std::size_t> extend(const std::vector<std::size_t>& sums,
+                                const std::vector<int>& vals,
+                                std::size_t cap) {
+  std::vector<std::size_t> next(sums.size(), 0);
+  for (std::size_t s = 0; s < sums.size(); ++s) {
+    if (sums[s] == 0) continue;
+    for (int v : vals) {
+      const std::size_t t = s + static_cast<std::size_t>(v);
+      if (t >= next.size()) break;
+      next[t] = sat_add(next[t], sums[s], cap);
+    }
+  }
+  return next;
+}
+
+// good[L], for L in [3, max_layers], is the number of distinct good
+// L-layer pairs that priorities 4 and 5 can draw: both ends from a_ends,
+// the L - 2 interior tau^A values from a_vals, the L - 1 tau^B values from
+// b_vals, kept when (E) sum(b) <= umax and (F) sum(b) - sum(a) >= 1.
+// Counts saturate at `cap`.
+std::vector<std::size_t> good_tuple_counts(const std::vector<int>& a_ends,
+                                           const std::vector<int>& a_vals,
+                                           const std::vector<int>& b_vals,
+                                           int umax, std::size_t max_layers,
+                                           std::size_t cap) {
+  // Sums above umax fail (E), and (F) then bounds sum(a) by umax - 1.
+  std::vector<std::size_t> a_sums(static_cast<std::size_t>(umax) + 1, 0);
+  a_sums[0] = 1;
+  std::vector<std::size_t> b_sums = a_sums;
+  a_sums = extend(extend(a_sums, a_ends, cap), a_ends, cap);  // two ends
+  b_sums = extend(b_sums, b_vals, cap);                       // one gap
+  std::vector<std::size_t> good(max_layers + 1, 0);
+  for (std::size_t layers = 3; layers <= max_layers; ++layers) {
+    a_sums = extend(a_sums, a_vals, cap);
+    b_sums = extend(b_sums, b_vals, cap);
+    std::size_t below = 0;  // a-tuples whose sum is below sum_b
+    for (std::size_t sum_b = 1; sum_b < b_sums.size(); ++sum_b) {
+      below = sat_add(below, a_sums[sum_b - 1], cap);
+      good[layers] =
+          sat_add(good[layers], sat_mul(b_sums[sum_b], below, cap), cap);
+    }
+  }
+  return good;
+}
+
+// pairs_for_values without its metrics; `trials` counts the priority-4 and
+// priority-5 trials drawn.
+std::vector<TauPair> emit_pairs(const std::vector<int>& a_vals_in,
+                                const std::vector<int>& b_vals_in,
+                                const TauConfig& cfg, Rng& rng,
+                                bool rng_discarded, std::size_t& trials) {
   const int umax = max_units(cfg);
   std::vector<int> a_vals, b_vals;
   for (int a : a_vals_in) {
@@ -178,6 +236,28 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
 
   if (a_vals.empty()) return out;  // priorities 4 and 5 need interior values
 
+  // For L >= 3, every L-layer pair out holds lies in the space the sampling
+  // priorities draw L-layer trials from, so once out holds as many as that
+  // space has good pairs, each further trial is rejected or a duplicate.
+  // With the caller's promise such a priority is skipped: priority 5 when
+  // all of its layer counts are exhausted, priority 4 only together with it.
+  bool skip4 = false, skip5 = false;
+  if (rng_discarded && cfg.max_layers >= 3) {
+    const std::vector<std::size_t> good_count = good_tuple_counts(
+        a_ends, a_vals, b_vals, umax, cfg.max_layers, out.size() + 1);
+    std::vector<std::size_t> emitted(cfg.max_layers + 1, 0);
+    for (const TauPair& p : out) ++emitted[p.num_layers()];
+    auto exhausted = [&](std::size_t layers) {
+      WMATCH_ASSERT(emitted[layers] <= good_count[layers]);
+      return emitted[layers] == good_count[layers];
+    };
+    skip5 = true;
+    for (std::size_t layers = 4; layers <= cfg.max_layers; ++layers) {
+      skip5 = skip5 && exhausted(layers);
+    }
+    skip4 = skip5 && exhausted(3);
+  }
+
   // Priorities 4 and 5 draw each trial into the scratch arrays `ta`, `tb`,
   // sized once for the deepest profile, and sum it as they draw. Sampled
   // values already satisfy (A)-(D), so a trial is good iff (E) and (F)
@@ -200,10 +280,11 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
       pick_b(b_vals.size());
 
   // --- Priority 4: random samples of the general 3-layer space. ---
-  if (cfg.max_layers >= 3) {
+  if (cfg.max_layers >= 3 && !skip4) {
     const std::size_t budget =
         cfg.max_pairs > raw ? (cfg.max_pairs - raw) / 2 : 0;
-    for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
+    for (const std::size_t end = trials + 6 * budget; trials < end;) {
+      ++trials;
       ta[0] = a_ends[pick_end(rng)];
       ta[1] = a_vals[pick_a(rng)];
       ta[2] = a_ends[pick_end(rng)];
@@ -214,10 +295,11 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
   }
 
   // --- Priority 5: random non-uniform deep profiles. ---
-  if (cfg.max_layers >= 4) {
+  if (cfg.max_layers >= 4 && !skip5) {
     const std::size_t budget = cfg.max_pairs > raw ? cfg.max_pairs - raw : 0;
     const FixedBound pick_layers(cfg.max_layers - 3);
-    for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
+    for (const std::size_t end = trials + 6 * budget; trials < end;) {
+      ++trials;
       const std::size_t layers = 4 + pick_layers(rng);
       int sum_a = ta[0] = a_ends[pick_end(rng)];
       sum_a += ta[layers - 1] = a_ends[pick_end(rng)];
@@ -231,6 +313,22 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
       if (good(sum_a, sum_b) && accept(layers)) break;
     }
   }
+  return out;
+}
+
+}  // namespace
+
+std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
+                                      const std::vector<int>& b_vals,
+                                      const TauConfig& cfg, Rng& rng,
+                                      bool rng_discarded) {
+  static obs::Counter& pairs_counter = obs::counter("solver.tau_pairs");
+  static obs::Counter& trials_counter = obs::counter("solver.tau_trials");
+  std::size_t trials = 0;
+  std::vector<TauPair> out =
+      emit_pairs(a_vals, b_vals, cfg, rng, rng_discarded, trials);
+  pairs_counter.add(out.size());
+  trials_counter.add(trials);
   return out;
 }
 

@@ -61,9 +61,17 @@ std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng);
 /// 2-layer profiles, all 3-layer profiles with free endpoints, uniform
 /// deep profiles, then random samples of the remaining 3-layer and deep
 /// non-uniform spaces up to cfg.max_pairs.
+///
+/// `rng_discarded` promises that the caller draws nothing more from `rng`
+/// after this call. The sampled priorities 4 and 5 are then skipped when
+/// every good pair they could draw is already in the output (priority 4
+/// only together with priority 5, which draws after it): the returned
+/// pairs are the same, but `rng` is left in a different state. Without the
+/// promise the draws follow DESIGN.md §2's contract exactly.
 std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
                                       const std::vector<int>& b_vals,
-                                      const TauConfig& cfg, Rng& rng);
+                                      const TauConfig& cfg, Rng& rng,
+                                      bool rng_discarded = false);
 
 /// The unit budget ceil((1+slack)/granularity) (Table 1 property (E)).
 int max_units(const TauConfig& cfg);

@@ -11,7 +11,8 @@
 //   cache.*    service::InstanceCache — cache.build spans; hits, misses,
 //              evictions, inserts counters; build_ms histogram
 //   solver.*   core::improve_matching_once — solver.round / solver.class
-//              spans; rounds counter
+//              spans; rounds counter; core::pairs_for_values —
+//              tau_pairs, tau_trials counters
 //   hk.*       exact::hopcroft_karp  — hk.phase / hk.bfs / hk.dfs spans;
 //              phases counter
 //   mpc.*      mpc_bipartite_matching — mpc.sample / mpc.filter spans

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -211,13 +212,25 @@ Table SweepResult::summary_table() const {
   const bool with_ratio = any_ratio(rows);
   const std::vector<std::string> labels = family_labels(spec.instances);
 
+  // The values a column takes over a group's seeds, printed as "lo..hi"
+  // (or one value).
+  struct Range {
+    std::size_t lo = std::numeric_limits<std::size_t>::max(), hi = 0;
+    void add(std::size_t x) {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    std::string str() const {
+      return lo == hi ? Table::fmt(lo)
+                      : Table::fmt(lo) + ".." + Table::fmt(hi);
+    }
+  };
   struct Group {
     const SweepRow* first = nullptr;
     Accumulator ratio;
     std::vector<double> wall;
-    std::size_t passes_min = 0, passes_max = 0;
-    std::size_t rounds_min = 0, rounds_max = 0;
-    std::size_t mem_min = 0, mem_max = 0;
+    Range n, m;  ///< over every seed, skipped ones included
+    Range passes, rounds, mem;
     std::size_t skipped = 0, ran = 0;
     std::vector<Accumulator> stat;  ///< one per spec.stat_columns entry
   };
@@ -229,22 +242,15 @@ Table SweepResult::summary_table() const {
                        r.cell.epsilon_idx, r.cell.threads_idx}];
     if (!g.first) g.first = &r;
     const service::JobResult& j = r.job;
+    g.n.add(j.n);
+    g.m.add(j.m);
     if (j.skipped) {
       ++g.skipped;
       continue;
     }
-    if (g.ran == 0) {
-      g.passes_min = g.passes_max = j.cost.passes;
-      g.rounds_min = g.rounds_max = j.cost.rounds;
-      g.mem_min = g.mem_max = j.cost.memory_peak_words;
-    } else {
-      g.passes_min = std::min(g.passes_min, j.cost.passes);
-      g.passes_max = std::max(g.passes_max, j.cost.passes);
-      g.rounds_min = std::min(g.rounds_min, j.cost.rounds);
-      g.rounds_max = std::max(g.rounds_max, j.cost.rounds);
-      g.mem_min = std::min(g.mem_min, j.cost.memory_peak_words);
-      g.mem_max = std::max(g.mem_max, j.cost.memory_peak_words);
-    }
+    g.passes.add(j.cost.passes);
+    g.rounds.add(j.cost.rounds);
+    g.mem.add(j.cost.memory_peak_words);
     ++g.ran;
     if (j.has_ratio()) g.ratio.add(j.ratio());
     g.wall.push_back(j.wall_ms_median);
@@ -259,11 +265,6 @@ Table SweepResult::summary_table() const {
     }
   }
 
-  auto range = [](std::size_t lo, std::size_t hi) {
-    return lo == hi ? Table::fmt(lo)
-                    : Table::fmt(lo) + ".." + Table::fmt(hi);
-  };
-
   std::vector<std::string> header = {"solver", "instance", "n",    "m",
                                      "eps",    "thr",      "seeds"};
   if (with_ratio) header.push_back("ratio (mean±ci95)");
@@ -274,8 +275,8 @@ Table SweepResult::summary_table() const {
     const SweepRow& f = *g.first;
     std::vector<std::string> row = {f.cell.solver,
                                     labels[f.cell.instance_idx],
-                                    Table::fmt(f.job.n),
-                                    Table::fmt(f.job.m),
+                                    g.n.str(),
+                                    g.m.str(),
                                     Table::fmt(f.cell.epsilon, 2),
                                     Table::fmt(f.cell.threads),
                                     Table::fmt(g.ran)};
@@ -291,9 +292,9 @@ Table SweepResult::summary_table() const {
                         : Table::fmt(g.ratio.mean(), 4) + " ± " +
                               Table::fmt(g.ratio.ci95_halfwidth(), 4));
     }
-    row.push_back(range(g.passes_min, g.passes_max));
-    row.push_back(range(g.rounds_min, g.rounds_max));
-    row.push_back(range(g.mem_min, g.mem_max));
+    row.push_back(g.passes.str());
+    row.push_back(g.rounds.str());
+    row.push_back(g.mem.str());
     row.push_back(Table::fmt(median(g.wall), 1));
     for (std::size_t s = 0; s < spec.stat_columns.size(); ++s) {
       row.push_back(s < g.stat.size() && g.stat[s].count() > 0

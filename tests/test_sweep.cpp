@@ -4,6 +4,7 @@
 // cells, and the BENCH JSON emission contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +13,7 @@
 #include "service/job.h"
 #include "sweep/presets.h"
 #include "sweep/sweep.h"
+#include "util/table.h"
 
 namespace wmatch {
 namespace {
@@ -207,6 +209,31 @@ TEST(SweepTable, InstanceColumnNamesTheFieldsThatTellFamiliesApart) {
     EXPECT_NE(text.find("hard-greedy-trap "), std::string::npos) << text;
     EXPECT_EQ(text.find("hard-greedy-trap order"), std::string::npos) << text;
   }
+}
+
+// The summary aggregates the seed axis, so a family whose instances differ
+// in m between seeds prints the range of m, like every other column that
+// varies with the seed.
+TEST(SweepTable, SummaryPrintsTheRangeOfMOverSeeds) {
+  sweep::SweepSpec spec;
+  spec.solvers = {"greedy"};
+  api::GenSpec planted;
+  planted.generator = "hard-planted-augs";
+  planted.n = 40;
+  planted.beta = 0.5;
+  spec.instances = {planted};
+  spec.seeds = {3, 4};
+  const sweep::SweepResult r = sweep::run_sweep(spec);
+  ASSERT_EQ(r.rows.size(), 2u);
+  const std::size_t m_lo = std::min(r.rows[0].job.m, r.rows[1].job.m);
+  const std::size_t m_hi = std::max(r.rows[0].job.m, r.rows[1].job.m);
+  ASSERT_LT(m_lo, m_hi);  // the seeds must disagree for the test to bite
+  std::ostringstream os;
+  r.summary_table().print(os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find(" " + Table::fmt(m_lo) + ".." + Table::fmt(m_hi) + " "),
+            std::string::npos)
+      << text;
 }
 
 // ---- Hard-instance GenSpec round-trips ----

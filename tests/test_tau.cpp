@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/tau.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -282,13 +283,17 @@ TEST(Tau, PairsForValuesFindsRepeatedCycleProfile) {
 // pairs_for_values must return exactly the reference's pairs, in the same
 // order, from the same draws: value sets with duplicates and out-of-range
 // entries, every cap regime (including a cap hit inside the exhaustive
-// priorities, which returns without dedup), and several grid steps.
+// priorities, which returns without dedup), and several grid steps. A call
+// whose caller discards rng afterwards must return the same pairs too;
+// solver.tau_trials tells which sampling priorities it skipped.
 TEST(Tau, PairsForValuesMatchesReference) {
   const std::size_t layer_choices[] = {2, 3, 4, 6, 8};
   const std::size_t cap_choices[] = {1, 7, 50, 4000};
   const double granularity_choices[] = {0.125, 0.25, 0.5};
+  const obs::Counter& trials = obs::counter("solver.tau_trials");
   Rng gen(2024);
   std::size_t nonempty = 0, capped = 0, with_duplicates = 0;
+  std::size_t skipped_both = 0, skipped_5_only = 0;
   for (int input = 0; input < 2000; ++input) {
     TauConfig cfg;
     cfg.max_layers = layer_choices[gen.next_below(5)];
@@ -304,11 +309,25 @@ TEST(Tau, PairsForValuesMatchesReference) {
     const std::vector<int> b_vals = values();
     const std::uint64_t seed = gen.next();
 
-    Rng ref_rng(seed), rng(seed);
+    Rng ref_rng(seed), rng(seed), discarded_rng(seed);
     const auto want = reference_pairs_for_values(a_vals, b_vals, cfg, ref_rng);
+    const std::uint64_t before = trials.value();
     const auto got = core::pairs_for_values(a_vals, b_vals, cfg, rng);
+    const std::uint64_t exact_trials = trials.value() - before;
     ASSERT_EQ(got, want) << "input " << input;
     ASSERT_EQ(rng.next(), ref_rng.next()) << "input " << input;
+
+    const auto promised = core::pairs_for_values(a_vals, b_vals, cfg,
+                                                 discarded_rng, true);
+    const std::uint64_t promised_trials =
+        trials.value() - before - exact_trials;
+    ASSERT_EQ(promised, want) << "input " << input;
+    ASSERT_LE(promised_trials, exact_trials) << "input " << input;
+    if (promised_trials == 0 && exact_trials > 0) {
+      ++skipped_both;
+    } else if (promised_trials < exact_trials) {
+      ++skipped_5_only;
+    }
     if (!want.empty()) ++nonempty;
     if (want.size() == cfg.max_pairs) ++capped;
     for (std::size_t i = 0; i < want.size() && want.size() <= 50; ++i) {
@@ -321,6 +340,45 @@ TEST(Tau, PairsForValuesMatchesReference) {
   EXPECT_GT(nonempty, 500u);
   EXPECT_GT(capped, 100u);
   EXPECT_GT(with_duplicates, 0u);  // a cap hit inside priorities 1-3
+  EXPECT_GT(skipped_both, 0u);
+  EXPECT_GT(skipped_5_only, 0u);
+}
+
+// On unit weights priorities 1-3 already emit every good pair, so a call
+// whose caller discards rng draws nothing at all; the exact stream still
+// runs every sampling trial.
+TEST(Tau, DiscardedRngSkipsExhaustedSampling) {
+  const TauConfig cfg;
+  const obs::Counter& pairs_made = obs::counter("solver.tau_pairs");
+  const obs::Counter& trials = obs::counter("solver.tau_trials");
+
+  Rng rng(11), copy(11);
+  const std::uint64_t pairs_before = pairs_made.value();
+  std::uint64_t trials_before = trials.value();
+  const auto promised = core::pairs_for_values({1}, {1}, cfg, rng, true);
+  EXPECT_EQ(promised.size(), 5u);
+  EXPECT_EQ(pairs_made.value() - pairs_before, promised.size());
+  EXPECT_EQ(trials.value() - trials_before, 0u);
+  EXPECT_EQ(rng.next(), copy.next());
+
+  Rng exact_rng(11), exact_copy(11);
+  trials_before = trials.value();
+  const auto exact = core::pairs_for_values({1}, {1}, cfg, exact_rng);
+  EXPECT_EQ(exact, promised);
+  EXPECT_NE(exact_rng.next(), exact_copy.next());
+  // Priority 4 alone runs 6 * budget trials, with budget half the room
+  // left under the cap by the 6 accepted pairs of priorities 1-3.
+  EXPECT_GE(trials.value() - trials_before, 6 * ((cfg.max_pairs - 6) / 2));
+
+  // With 3 layers only priority 4 samples: 3 accepted pairs (one of them
+  // a duplicate) leave budget (max_pairs - 3) / 2, and its 1-in-4 good
+  // trials stay far below the cap, so all 6 * budget trials run.
+  TauConfig shallow;
+  shallow.max_layers = 3;
+  trials_before = trials.value();
+  EXPECT_EQ(core::pairs_for_values({1}, {1}, shallow, rng).size(), 2u);
+  EXPECT_EQ(trials.value() - trials_before,
+            6 * ((shallow.max_pairs - 3) / 2));
 }
 
 }  // namespace
