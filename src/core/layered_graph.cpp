@@ -13,6 +13,38 @@ namespace {
 /// w in ((a-1)U, aU].
 Weight matched_units(Weight w, Weight unit) { return (w + unit - 1) / unit; }
 
+/// Fast reject: every layer with a positive threshold and every gap must
+/// have candidate edges (an endpoint layer with tau_a > 0 only admits
+/// X-matched vertices, so its bucket must be non-empty too).
+bool fast_reject(const BucketedEdges& edges, const TauPair& tau) {
+  const int umax = static_cast<int>(edges.matched.size()) - 1;
+  for (int a : tau.tau_a) {
+    if (a > umax) return true;
+    if (a > 0 && edges.matched[static_cast<std::size_t>(a)].empty()) {
+      return true;
+    }
+  }
+  for (int b : tau.tau_b) {
+    if (b > umax || edges.unmatched[static_cast<std::size_t>(b)].empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Y edges of gap t (u in R at layer t, v in L at layer t+1): the witness
+/// list of (tau_a[t], tau_b[t], tau_a[t+1]). A layer with tau_a > 0 keeps
+/// the vertices whose gap key is tau_a; tau_a = 0 keeps the M-free
+/// vertices, and only in an endpoint layer (R side first, L side last);
+/// a negative tau_a keeps none.
+std::span<const Edge> gap_edges(const BucketedEdges& edges,
+                                const TauPair& tau, std::size_t t) {
+  const std::size_t k = tau.num_layers() - 1;
+  const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
+  if ((au == 0 && t != 0) || (av == 0 && t + 1 != k)) return {};
+  return edges.witnesses(au, tau.tau_b[t], av);
+}
+
 }  // namespace
 
 Parametrization random_parametrization(std::size_t n, Rng& rng) {
@@ -166,39 +198,12 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   const std::size_t k = layers - 1;
-  const int umax = static_cast<int>(edges.matched.size()) - 1;
 
   LayeredGraph out;
   out.layers = layers;
-
-  // Fast reject: every layer with a positive threshold and every gap must
-  // have candidate edges (an endpoint layer with tau_a > 0 only admits
-  // X-matched vertices, so its bucket must be non-empty too).
-  for (std::size_t t = 0; t < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a > umax) return out;
-    if (a > 0 && edges.matched[static_cast<std::size_t>(a)].empty()) {
-      return out;
-    }
-  }
-  for (int b : tau.tau_b) {
-    if (b > umax || edges.unmatched[static_cast<std::size_t>(b)].empty()) {
-      return out;
-    }
-  }
-
-  // Y edges of gap t (u in R at layer t, v in L at layer t+1): the witness
-  // list of (tau_a[t], tau_b[t], tau_a[t+1]). A layer with tau_a > 0 keeps
-  // the vertices whose gap key is tau_a; tau_a = 0 keeps the M-free
-  // vertices, and only in an endpoint layer (R side first, L side last);
-  // a negative tau_a keeps none.
-  auto gap_edges = [&](std::size_t t) -> std::span<const Edge> {
-    const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
-    if ((au == 0 && t != 0) || (av == 0 && t + 1 != k)) return {};
-    return edges.witnesses(au, tau.tau_b[t], av);
-  };
+  if (fast_reject(edges, tau)) return out;
   for (std::size_t t = 0; t < k; ++t) {
-    out.num_between_edges += gap_edges(t).size();
+    out.num_between_edges += gap_edges(edges, tau, t).size();
   }
   if (out.num_between_edges == 0) return out;
 
@@ -214,7 +219,7 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
       }
     }
     for (std::size_t t = 0; t < k; ++t) {
-      for (const Edge& e : gap_edges(t)) f(t, t + 1, e);
+      for (const Edge& e : gap_edges(edges, tau, t)) f(t, t + 1, e);
     }
   };
 
@@ -246,6 +251,67 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
   });
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);
+  return out;
+}
+
+LayeredReach reach_layered_graph(const BucketedEdges& edges,
+                                 const Matching& m, const TauPair& tau,
+                                 ReachScratch& scratch) {
+  const std::size_t layers = tau.num_layers();
+  WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
+  WMATCH_REQUIRE(scratch.stamp.size() == m.num_vertices(),
+                 "reach scratch size");
+  const std::size_t k = layers - 1;
+
+  LayeredReach out;
+  if (fast_reject(edges, tau)) return out;
+  std::vector<std::span<const Edge>>& gaps = scratch.gaps;
+  gaps.clear();
+  bool every_gap = true;
+  for (std::size_t t = 0; t < k; ++t) {
+    gaps.push_back(gap_edges(edges, tau, t));
+    out.num_between_edges += gaps.back().size();
+    every_gap &= !gaps.back().empty();
+  }
+  // A path takes one Y edge from every gap; with one gap each Y edge is a
+  // path (both of its ends are ML'-free).
+  if (!every_gap) return out;
+  if (k == 1) {
+    out.augmenting = true;
+    return out;
+  }
+
+  std::vector<Vertex>& frontier = scratch.frontier;
+  frontier.clear();
+  for (const Edge& e : gaps[0]) frontier.push_back(e.v);
+  for (std::size_t t = 1; t < k; ++t) {
+    // All of layer t's marks go down before gap t is scanned: when
+    // tau_a repeats, a vertex of layer t can also be a mate in layer t+1,
+    // and marking it for t+1 mid-scan would hide its own gap-t edges.
+    if (++scratch.epoch == 0) {
+      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+      scratch.epoch = 1;
+    }
+    const std::uint32_t epoch = scratch.epoch;
+    for (Vertex v : frontier) {
+      const Vertex mate = m.mate(v);
+      WMATCH_ASSERT(mate != kNoVertex);
+      if (scratch.stamp[mate] != epoch) {
+        scratch.stamp[mate] = epoch;
+        ++out.reached;
+      }
+    }
+    frontier.clear();
+    for (const Edge& e : gaps[t]) {
+      if (scratch.stamp[e.u] != epoch) continue;
+      if (t + 1 == k) {
+        out.augmenting = true;
+        return out;
+      }
+      frontier.push_back(e.v);
+    }
+    if (frontier.empty()) return out;
+  }
   return out;
 }
 

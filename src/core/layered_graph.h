@@ -19,6 +19,8 @@
 //
 // We materialize only the *present* vertices (compressed ids) of L', the
 // working graph of Algorithm 4 (first/last-layer matched edges removed).
+// reach_layered_graph answers, without materializing L', whether it holds
+// an augmenting path at all.
 #pragma once
 
 #include <cstdint>
@@ -115,5 +117,39 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,
                                  const runtime::RuntimeConfig& rt = {});
+
+/// What a forward walk over the witness lists tells about one pair's L'
+/// without building it.
+struct LayeredReach {
+  std::size_t num_between_edges = 0;  ///< |Y|, equal to the build's
+  bool augmenting = false;  ///< L' holds an ML'-augmenting path
+  std::size_t reached = 0;  ///< distinct (layer, vertex) pairs marked
+};
+
+/// Scratch that reach_layered_graph reuses across the pairs of one class:
+/// a stamp per vertex of G and the frontier.
+struct ReachScratch {
+  explicit ReachScratch(std::size_t n) : stamp(n, 0) {}
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<std::span<const Edge>> gaps;
+  std::vector<Vertex> frontier;
+};
+
+/// Decides whether the L' that build_layered_graph(edges, m, par, tau, n)
+/// would return holds an ML'-augmenting path, with the build's fast reject
+/// and gap rule. The ML'-free vertices of L' are the R ends of gap 0 and
+/// the L ends of the last gap, and an alternating path from one of the
+/// former can only move forward: a Y edge from R(t) to L(t+1), then the
+/// X edge to its M-mate in layer t+1. So the walk starts from the L ends
+/// of gap 0, marks the mates of the frontier in layer t, keeps the L ends
+/// of the gap-t witnesses whose R end is marked, and stops at the first
+/// witness of the last gap that starts at a marked vertex. It reads only
+/// `edges`, m's mates and `scratch`; |Y| is counted in full even when the
+/// walk stops early. `m` must be the matching given to crossing_edges and
+/// `scratch` must hold a stamp per vertex of G.
+LayeredReach reach_layered_graph(const BucketedEdges& edges,
+                                 const Matching& m, const TauPair& tau,
+                                 ReachScratch& scratch);
 
 }  // namespace wmatch::core

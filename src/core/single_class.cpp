@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/decompose.h"
+#include "obs/metrics.h"
 #include "streaming/memory_meter.h"
 #include "util/require.h"
 
@@ -31,6 +32,7 @@ SingleClassResult find_class_augmentations(const GraphView& g,
                                            const SingleClassOptions& opts,
                                            UnweightedMatcher& matcher,
                                            Rng& rng) {
+  static obs::Counter& core_empty_counter = obs::counter("solver.core_empty");
   SingleClassResult result;
   const Weight unit = quantum(w_class, tau_cfg);
   const int umax = max_units(tau_cfg);
@@ -48,6 +50,8 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   // single_class.h.)
   std::vector<Augmentation> candidates;
 
+  ReachScratch reach(g.num_vertices());
+  std::size_t core_empty = 0;
   const std::size_t reps = std::max<std::size_t>(1, opts.parametrizations);
   for (std::size_t rep = 0; rep < reps; ++rep) {
   Parametrization par = random_parametrization(g.num_vertices(), rng);
@@ -69,10 +73,20 @@ SingleClassResult find_class_augmentations(const GraphView& g,
                        tau_cfg, rng, /*rng_discarded=*/rep + 1 == reps);
 
   for (const TauPair& pair : pairs) {
+    // A candidate can only come from an ML'-augmenting path of L', so a
+    // pair whose L' holds none is neither built nor solved. The meter
+    // holds the walk's marks only while it runs.
+    const LayeredReach walk = reach_layered_graph(buckets, m, pair, reach);
+    if (walk.num_between_edges == 0) continue;
+    ++result.layered_graphs;
+    meter.add(walk.reached);
+    meter.sub(walk.reached);
+    if (!walk.augmenting) {
+      ++core_empty;
+      continue;
+    }
     LayeredGraph lg =
         build_layered_graph(buckets, m, par, pair, g.num_vertices());
-    if (lg.num_between_edges == 0) continue;
-    ++result.layered_graphs;
 
     // One layered subgraph lives at a time: the compressed vertex maps
     // (original, layer_of, side), the intermediate matching M_L', and the
@@ -132,6 +146,7 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   }  // parametrization repetitions
   meter.sub(candidate_words);
   result.stored_words_peak = meter.peak();
+  core_empty_counter.add(core_empty);
 
   // Greedy selection by decreasing gain; keep vertex-disjoint ones.
   std::vector<std::pair<Weight, std::size_t>> order;

@@ -1,11 +1,14 @@
 // Algorithm 4 (Theorem 4.8): augmentations for a single augmentation class.
 //
 // For a fixed class weight W: draw a random L/R bipartition, and for every
-// good (tau^A, tau^B) pair build the layered graph L', solve it with the
+// good (tau^A, tau^B) pair whose layered graph L' holds an augmenting path
+// w.r.t. M_{L'} (reach_layered_graph), build L', solve it with the
 // unweighted bipartite black box, extract the augmenting paths of
 // M' ∪ M_{L'}, translate them back to G, decompose every translated walk
 // (Lemma 4.11) and keep its best-gain component. The returned collection
-// is vertex-disjoint and every element has strictly positive gain.
+// is vertex-disjoint and every element has strictly positive gain. A pair
+// whose L' holds no augmenting path could yield no candidate, so skipping
+// it changes no result; only black-box invocations and stored words fall.
 //
 // Divergence from the paper's Line 13 (documented in DESIGN.md): instead
 // of keeping only the single best tau pair's augmentation set, we pool
@@ -28,11 +31,14 @@ namespace wmatch::core {
 struct SingleClassResult {
   std::vector<Augmentation> augmentations;  ///< disjoint, positive gain
   Weight total_gain = 0;     ///< sum of gains against the input matching
-  std::size_t layered_graphs = 0;  ///< non-trivial layered graphs solved
+  /// Pairs whose L' has a Y edge (|Y| > 0), whether or not it held an
+  /// augmenting path and so reached the black box.
+  std::size_t layered_graphs = 0;
   /// Peak words this class stores at once under the semi-streaming
   /// convention (streaming/memory_meter.h): the bucketed class-window
-  /// edges, one layered subgraph's vertex maps + intermediate matching +
-  /// black-box working state (O(n) per class), and the candidate pool.
+  /// edges, one pair's walk marks or one layered subgraph's vertex maps +
+  /// intermediate matching + black-box working state (O(n) per class),
+  /// and the candidate pool.
   /// A deterministic function of the inputs, so per-class peaks can be
   /// summed at the round barrier regardless of thread count.
   std::size_t stored_words_peak = 0;

@@ -12,7 +12,8 @@
 //              evictions, inserts counters; build_ms histogram
 //   solver.*   core::improve_matching_once — solver.round / solver.class
 //              spans; rounds counter; core::pairs_for_values —
-//              tau_pairs, tau_trials counters
+//              tau_pairs, tau_trials counters;
+//              core::find_class_augmentations — core_empty counter
 //   hk.*       exact::hopcroft_karp  — hk.phase / hk.bfs / hk.dfs spans;
 //              phases counter
 //   mpc.*      mpc_bipartite_matching — mpc.sample / mpc.filter spans

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -382,6 +383,74 @@ void expect_same_build(const LayeredGraph& got, const LayeredGraph& want) {
   ASSERT_EQ(got.ml.edges(), want.ml.edges());
 }
 
+// Whether L' holds an ML'-augmenting path, by an alternating BFS that
+// knows nothing of layers: from every ML'-free R vertex, leave an R vertex
+// by a non-ML' edge and an L vertex by its ML' edge, until an ML'-free L
+// vertex is reached.
+bool has_augmenting_path(const LayeredGraph& lg) {
+  const GraphView& g = lg.lprime;
+  std::vector<char> seen(g.num_vertices(), 0);
+  std::vector<Vertex> queue;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (lg.side[v] == 1 && !lg.ml.is_matched(v)) {
+      seen[v] = 1;
+      queue.push_back(v);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex r = queue[head];
+    for (Vertex l : g.neighbors(r)) {
+      if (lg.ml.mate(r) == l || seen[l]) continue;
+      seen[l] = 1;
+      if (!lg.ml.is_matched(l)) return true;
+      const Vertex next = lg.ml.mate(l);
+      if (!seen[next]) {
+        seen[next] = 1;
+        queue.push_back(next);
+      }
+    }
+  }
+  return false;
+}
+
+// What the verdicts of reach_layered_graph covered in a loop. Paths
+// through a vertex that sits in two layers are rare on these instances;
+// ReachLayeredGraph.MarksALayerBeforeScanningItsGap plants one.
+struct ReachCoverage {
+  std::size_t paths = 0, no_paths = 0;
+  std::size_t died_inside = 0;  // every gap witnessed, yet no path
+
+  void count(const TauPair& tau, const core::LayeredReach& walk,
+             const core::BucketedEdges& buckets) {
+    if (walk.num_between_edges == 0) return;
+    walk.augmenting ? ++paths : ++no_paths;
+    const std::size_t k = tau.num_layers() - 1;
+    bool every_gap = true;
+    for (std::size_t t = 0; t < k; ++t) {
+      const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
+      every_gap &= (au > 0 || (au == 0 && t == 0)) &&
+                   (av > 0 || (av == 0 && t + 1 == k)) &&
+                   !buckets.witnesses(au, tau.tau_b[t], av).empty();
+    }
+    if (!walk.augmenting && every_gap) ++died_inside;
+  }
+
+  void expect_all() const {
+    EXPECT_GT(paths, 0u);
+    EXPECT_GT(no_paths, 0u);
+    EXPECT_GT(died_inside, 0u);
+  }
+};
+
+// The walk against the build: the same |Y|, and a path exactly when the
+// independent BFS finds one in the built L'.
+void expect_walk_matches(const core::LayeredReach& walk,
+                         const LayeredGraph& built) {
+  ASSERT_EQ(walk.num_between_edges, built.num_between_edges);
+  ASSERT_EQ(walk.augmenting, has_augmenting_path(built));
+  ASSERT_LE(walk.reached, built.lprime.num_vertices());
+}
+
 // A random matching of g: greedy over a shuffled edge order, each edge
 // taken with probability 1/2 when both ends are free.
 Matching random_matching(const Graph& g, Rng& rng) {
@@ -430,12 +499,14 @@ Instance random_instance(std::size_t n, int inst, Rng& rng) {
 TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   Rng rng(77);
   std::size_t builds = 0, nonempty = 0;
+  ReachCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
     for (int inst = 0; inst < 12; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       ASSERT_EQ(in.buckets.matched_values(), in.ref_buckets.matched_values());
       ASSERT_EQ(in.buckets.unmatched_values(),
                 in.ref_buckets.unmatched_values());
+      core::ReachScratch scratch(n);
       for (const TauPair& tau : core::pairs_for_values(
                in.buckets.matched_values(), in.buckets.unmatched_values(),
                in.cfg, rng)) {
@@ -444,7 +515,11 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
         expect_same_build(got, want);
+        const core::LayeredReach walk =
+            core::reach_layered_graph(in.buckets, in.m, tau, scratch);
+        expect_walk_matches(walk, got);
         if (::testing::Test::HasFatalFailure()) return;
+        coverage.count(tau, walk, in.buckets);
         ++builds;
         if (want.num_between_edges > 0) ++nonempty;
       }
@@ -452,6 +527,7 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   }
   EXPECT_GT(builds, 1000u);
   EXPECT_GT(nonempty, 100u);
+  coverage.expect_all();
 }
 
 // The witness rules on hand-made pairs, good or not: an interior tau_a of
@@ -464,10 +540,12 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
   std::size_t non_crossing = 0, above_umax = 0;
   std::size_t interior_zero = 0, negative = 0, positive_ends = 0,
               empty_triple = 0;
+  ReachCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
     for (int inst = 0; inst < 12; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       const int umax = core::max_units(in.cfg);
+      core::ReachScratch scratch(n);
       for (Vertex v = 0; v < n; ++v) {
         const Vertex mate = in.m.mate(v);
         if (mate == kNoVertex) continue;
@@ -499,7 +577,11 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
         expect_same_build(got, want);
+        const core::LayeredReach walk =
+            core::reach_layered_graph(in.buckets, in.m, tau, scratch);
+        expect_walk_matches(walk, got);
         if (::testing::Test::HasFatalFailure()) return;
+        coverage.count(tau, walk, in.buckets);
 
         // Coverage, among builds that pass the fast reject.
         bool rejected = false;
@@ -543,6 +625,62 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
   EXPECT_GT(negative, 0u);
   EXPECT_GT(positive_ends, 0u);
   EXPECT_GT(empty_triple, 0u);
+  coverage.expect_all();
+}
+
+// Hand-made walks over four layers with tau_a = (0, 2, 2, 0) at unit 1:
+// matched edges weigh 2 and unmatched ones 3, so every matched vertex sits
+// in both interior layers. R = {0, 2, 4, 6, 8}, L = {1, 3, 5, 7, 9}; 0 and
+// 9 are M-free, and 3-2, 1-4, 5-6, 7-8 are matched. Gap 0 (0 -> 1,
+// 0 -> 3) reaches 1 and 3, so layer 1 marks 4 and 2, and gap 2 is 6 -> 9.
+core::LayeredReach walk_four_layers(const std::vector<Edge>& gap1,
+                                    std::uint32_t epoch) {
+  Graph g(10);
+  g.add_edge(0, 1, 3);
+  g.add_edge(0, 3, 3);
+  for (const Edge& e : gap1) g.add_edge(e.u, e.v, e.w);
+  g.add_edge(6, 9, 3);
+  Matching m(10);
+  for (auto [u, v] : {std::pair(3, 2), std::pair(1, 4), std::pair(5, 6),
+                      std::pair(7, 8)}) {
+    g.add_edge(u, v, 2);
+    m.add(u, v, 2);
+  }
+  Parametrization par(10);
+  for (Vertex v = 0; v < 10; ++v) par[v] = v % 2 == 0 ? 1 : 0;
+  const core::BucketedEdges buckets =
+      core::bucket_edges(core::crossing_edges(freeze(g), m, par), 1, 8);
+  const TauPair tau{{0, 2, 2, 0}, {3, 3, 3}};
+  core::ReachScratch scratch(10);
+  scratch.epoch = epoch;
+  const core::LayeredReach walk =
+      core::reach_layered_graph(buckets, m, tau, scratch);
+  expect_walk_matches(walk,
+                      core::build_layered_graph(buckets, m, par, tau, 10));
+  return walk;
+}
+
+// The path 0 -> 1 = 4 -> 5 = 6 -> 9 needs 4 in layer 1, and the gap-1
+// edge 2 -> 1, first in crossing order, reaches 1 and so marks 4 again for
+// layer 2: marking while scanning would hide 4 -> 5. Then a gap 1 whose
+// only witness, 8 -> 5, leaves an unmarked vertex: the frontier dies in
+// layer 1 although every gap has witnesses. Both also run across the
+// wrap of the stamp epoch.
+TEST(ReachLayeredGraph, MarksALayerBeforeScanningItsGap) {
+  const std::vector<Edge> through_two_layers{{2, 1, 3}, {4, 5, 3}};
+  const std::vector<Edge> dead_end{{8, 5, 3}};
+  constexpr std::uint32_t kLast = std::numeric_limits<std::uint32_t>::max();
+  for (std::uint32_t epoch : {0u, kLast - 1, kLast}) {
+    const core::LayeredReach path = walk_four_layers(through_two_layers, epoch);
+    EXPECT_EQ(path.num_between_edges, 5u);
+    EXPECT_TRUE(path.augmenting);
+    EXPECT_EQ(path.reached, 4u);  // 4, 2 in layer 1; 4, 6 in layer 2
+
+    const core::LayeredReach none = walk_four_layers(dead_end, epoch);
+    EXPECT_EQ(none.num_between_edges, 4u);
+    EXPECT_FALSE(none.augmenting);
+    EXPECT_EQ(none.reached, 2u);
+  }
 }
 
 // Large builds (bipartite n = 2000, m = 20000, unit weights, so each gap

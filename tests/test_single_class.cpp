@@ -1,10 +1,166 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/single_class.h"
+#include "core/decompose.h"
+#include "core/main_alg.h"
 #include "gen/generators.h"
 #include "gen/hard_instances.h"
 #include "gen/weights.h"
+#include "obs/metrics.h"
+#include "streaming/memory_meter.h"
+#include "util/require.h"
 #include "util/rng.h"
+
+namespace wmatch::core {
+
+// find_class_augmentations as it was before the walk, kept verbatim as the
+// reference for the skip: it builds and solves every pair with |Y| > 0.
+namespace {
+
+/// Translates an augmenting path of the layered graph (compressed-id edge
+/// sequence) back to a walk in G.
+std::vector<Edge> translate_walk(const LayeredGraph& lg,
+                                 const std::vector<Edge>& layered_path) {
+  std::vector<Edge> walk;
+  walk.reserve(layered_path.size());
+  for (const Edge& e : layered_path) {
+    walk.push_back({lg.original[e.u], lg.original[e.v], e.w});
+  }
+  return walk;
+}
+
+SingleClassResult reference_find_class_augmentations(
+    const GraphView& g, const Matching& m, Weight w_class,
+    const TauConfig& tau_cfg, const SingleClassOptions& opts,
+    UnweightedMatcher& matcher, Rng& rng) {
+  SingleClassResult result;
+  const Weight unit = quantum(w_class, tau_cfg);
+  const int umax = max_units(tau_cfg);
+
+  // Semi-streaming accounting for this class: what the per-class instance
+  // of the reduction *stores* between passes (the stream itself is free).
+  // All charges are deterministic functions of (g, m, w_class, seed), so
+  // the peak is thread-count invariant and safe to sum across classes at
+  // the round barrier (see DESIGN.md §5).
+  MemoryMeter meter;
+  std::size_t candidate_words = 0;
+
+  // Candidate augmentations pooled over all bipartitions and tau pairs.
+  // (Divergence from the paper's Line 13 — see file comment in
+  // single_class.h.)
+  std::vector<Augmentation> candidates;
+
+  const std::size_t reps = std::max<std::size_t>(1, opts.parametrizations);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+  Parametrization par = random_parametrization(g.num_vertices(), rng);
+  CrossingEdges crossing = crossing_edges(g, m, par);
+  if (crossing.unmatched.empty()) continue;
+  BucketedEdges buckets = bucket_edges(crossing, unit, umax);
+
+  // The class-window edges kept across passes (out-of-class buckets are
+  // already discarded by bucket_edges).
+  std::size_t bucket_words = 0;
+  for (const auto& b : buckets.matched) bucket_words += b.size();
+  for (const auto& b : buckets.unmatched) bucket_words += b.size();
+  meter.add(bucket_words);
+
+  // Nothing draws from rng after the last repetition's pairs, so that call
+  // may skip sampling that can add no pair.
+  std::vector<TauPair> pairs =
+      pairs_for_values(buckets.matched_values(), buckets.unmatched_values(),
+                       tau_cfg, rng, /*rng_discarded=*/rep + 1 == reps);
+
+  for (const TauPair& pair : pairs) {
+    LayeredGraph lg =
+        build_layered_graph(buckets, m, par, pair, g.num_vertices());
+    if (lg.num_between_edges == 0) continue;
+    ++result.layered_graphs;
+
+    // One layered subgraph lives at a time: the compressed vertex maps
+    // (original, layer_of, side), the intermediate matching M_L', and the
+    // black box's O(|V(L')|) working state (dist + match arrays).
+    const std::size_t lg_words =
+        3 * lg.lprime.num_vertices() + lg.ml.size();
+    const std::size_t bb_words = 2 * lg.lprime.num_vertices();
+    meter.add(lg_words + bb_words);
+
+    Matching mprime = matcher.solve(lg.lprime, lg.side, opts.delta);
+    meter.add(mprime.size());
+
+    // Augmenting paths of M' w.r.t. ML' are path components of the
+    // symmetric difference with one more M'-edge than ML'-edge.
+    for (Augmentation& comp :
+         symmetric_difference_components(mprime, lg.ml)) {
+      if (comp.is_cycle) continue;
+      std::size_t in_mprime = 0;
+      for (const Edge& e : comp.edges) {
+        if (mprime.contains(e)) ++in_mprime;
+      }
+      if (2 * in_mprime <= comp.edges.size()) continue;  // not augmenting
+
+      std::vector<Edge> walk = translate_walk(lg, comp.edges);
+      Augmentation best;
+      Weight best_gain = 0;
+      for (Augmentation& piece : decompose_walk(walk)) {
+        if (!piece.is_valid_alternating(m)) continue;
+        if (!opts.enable_cycles) {
+          if (piece.is_cycle) continue;
+          // Classic path augmentations only: every removed matched edge
+          // must lie on the path itself.
+          std::size_t on_path_matched = 0;
+          for (const Edge& e : piece.edges) {
+            if (m.contains(e)) ++on_path_matched;
+          }
+          if (piece.matching_neighborhood(m).size() != on_path_matched) {
+            continue;
+          }
+        }
+        Weight gain = piece.gain(m);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = std::move(piece);
+        }
+      }
+      if (best_gain > 0) {
+        const std::size_t words = best.edges.size();
+        meter.add(words);  // pooled candidate, held until selection
+        candidate_words += words;
+        candidates.push_back(std::move(best));
+      }
+    }
+    meter.sub(lg_words + bb_words + mprime.size());  // subgraph retired
+  }
+  meter.sub(bucket_words);  // class window dropped with the bipartition
+  }  // parametrization repetitions
+  meter.sub(candidate_words);
+  result.stored_words_peak = meter.peak();
+
+  // Greedy selection by decreasing gain; keep vertex-disjoint ones.
+  std::vector<std::pair<Weight, std::size_t>> order;
+  order.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    order.emplace_back(candidates[i].gain(m), i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& x, const auto& y) { return x.first > y.first; });
+  std::vector<Augmentation> sorted;
+  sorted.reserve(candidates.size());
+  for (const auto& [gain, idx] : order) sorted.push_back(std::move(candidates[idx]));
+
+  for (std::size_t idx : select_disjoint(sorted, m)) {
+    Weight gain = sorted[idx].gain(m);
+    WMATCH_ASSERT(gain > 0);
+    result.total_gain += gain;
+    result.augmentations.push_back(std::move(sorted[idx]));
+  }
+  return result;
+}
+
+}  // namespace
+
+}  // namespace wmatch::core
 
 namespace wmatch {
 namespace {
@@ -136,6 +292,70 @@ TEST(SingleClass, NoUnmatchedCrossingEdgesMeansNoWork) {
       core::find_class_augmentations(freeze(g), m, 16, tcfg, {}, matcher, rng);
   EXPECT_TRUE(result.augmentations.empty());
   EXPECT_EQ(result.layered_graphs, 0u);
+}
+
+// find_class_augmentations skips the pairs whose L' holds no augmenting
+// path. Against the reference, which builds and solves every pair with
+// |Y| > 0, on weighted and unit-weight graphs, with the empty matching and
+// after 1-3 rounds, over the HK and exact black boxes: the same
+// augmentations, gain and layered-graph count, no more black-box calls or
+// stored words, and exactly solver.core_empty fewer calls.
+TEST(SingleClass, SkipsOnlyPairsWithoutAugmentingPath) {
+  const obs::Counter& core_empty = obs::counter("solver.core_empty");
+  std::size_t skipped = 0, solved = 0, found = 0;
+  for (int inst = 0; inst < 8; ++inst) {
+    Rng gen_rng(static_cast<std::uint64_t>(inst) + 40);
+    const bool unit = inst % 2 == 1;
+    Graph g = unit ? gen::random_bipartite(50, 50, 400, gen_rng)
+                   : gen::erdos_renyi(80, 320, gen_rng);
+    g = gen::assign_weights(
+        g, unit ? gen::WeightDist::kUnit : gen::WeightDist::kUniform, 100,
+        gen_rng);
+    const GraphView view = freeze(g);
+    Matching m(view.num_vertices());
+    core::ReductionConfig cfg;
+    core::HkStreamingMatcher round_matcher;
+    for (int round = 0; round < inst / 2; ++round) {
+      core::improve_matching_once(view, m, cfg, round_matcher, gen_rng);
+    }
+    for (int shift = 0; shift < 7; ++shift) {
+      const Weight w_class =
+          std::max<Weight>(1, 7 * view.max_weight() >> shift);
+      for (bool exact : {false, true}) {
+        core::HkStreamingMatcher hk, ref_hk;
+        core::ExactMatcher ex, ref_ex;
+        core::UnweightedMatcher& matcher =
+            exact ? static_cast<core::UnweightedMatcher&>(ex) : hk;
+        core::UnweightedMatcher& ref_matcher =
+            exact ? static_cast<core::UnweightedMatcher&>(ref_ex) : ref_hk;
+        Rng rng(gen_rng.next());
+        Rng ref_rng = rng;
+        const std::uint64_t before = core_empty.value();
+        const auto got = core::find_class_augmentations(
+            view, m, w_class, cfg.tau, {}, matcher, rng);
+        const std::uint64_t skips = core_empty.value() - before;
+        const auto want = core::reference_find_class_augmentations(
+            view, m, w_class, cfg.tau, {}, ref_matcher, ref_rng);
+        ASSERT_EQ(got.augmentations.size(), want.augmentations.size());
+        for (std::size_t i = 0; i < got.augmentations.size(); ++i) {
+          EXPECT_EQ(got.augmentations[i].edges, want.augmentations[i].edges);
+          EXPECT_EQ(got.augmentations[i].is_cycle,
+                    want.augmentations[i].is_cycle);
+        }
+        EXPECT_EQ(got.total_gain, want.total_gain);
+        EXPECT_EQ(got.layered_graphs, want.layered_graphs);
+        EXPECT_LE(got.stored_words_peak, want.stored_words_peak);
+        ASSERT_LE(matcher.invocations(), ref_matcher.invocations());
+        EXPECT_EQ(ref_matcher.invocations() - matcher.invocations(), skips);
+        skipped += skips;
+        solved += matcher.invocations();
+        found += got.augmentations.size();
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(solved, 0u);
+  EXPECT_GT(found, 0u);
 }
 
 }  // namespace
