@@ -45,6 +45,69 @@ std::span<const Edge> gap_edges(const BucketedEdges& edges,
   return edges.witnesses(au, tau.tau_b[t], av);
 }
 
+/// Fills `gaps` with the pair's k gaps in order and `num_between` with |Y|,
+/// their total size. Returns whether every gap has a witness: a path takes
+/// one Y edge from each.
+bool fill_gaps(const BucketedEdges& edges, const TauPair& tau,
+               std::vector<std::span<const Edge>>& gaps,
+               std::size_t& num_between) {
+  gaps.clear();
+  bool every_gap = true;
+  for (std::size_t t = 0; t + 1 < tau.num_layers(); ++t) {
+    gaps.push_back(gap_edges(edges, tau, t));
+    num_between += gaps.back().size();
+    every_gap &= !gaps.back().empty();
+  }
+  return every_gap;
+}
+
+/// The forward rule of the layering over one pair's k gaps, shared by the
+/// walk and the build. The near ends of gap 0 are marked in layer 0, and a
+/// gap-t witness whose near end is marked in layer t marks its far end in
+/// layer t+1 and, when t+1 < k, that vertex's M-mate. Forward, a witness's
+/// near end is its R end, so layer 0 holds ML'-free R vertices;
+/// kBackward runs the same rule from the L ends of gap k-1 towards layer
+/// 0, with the ends of every witness swapped. A layer's marks all go down
+/// after the gap before it is scanned: when tau_a repeats, a vertex sits
+/// in consecutive layers, and a per-vertex stamp set mid-scan would hide
+/// its own gap edges. `marks` takes begin(t) before layer t >= 1 gets its
+/// marks, mark(t, v) for a near end of gap 0 or a far end, mate(t, x) for
+/// a mate, and answers marked(t, u); t indexes the layers of L' from 0
+/// (layer_of counts from 1). With kFirstPath the walk stops at the first
+/// witness of the last gap whose near end is marked. Returns whether a
+/// mark reached the last layer.
+template <bool kBackward, bool kFirstPath, typename Marks>
+bool walk_layers(std::span<const std::span<const Edge>> gaps,
+                 const Matching& m, std::vector<Vertex>& frontier,
+                 Marks& marks) {
+  const std::size_t k = gaps.size();
+  const auto layer = [k](std::size_t i) { return kBackward ? k - i : i; };
+  const auto gap = [&](std::size_t i) {
+    return gaps[kBackward ? k - 1 - i : i];
+  };
+  const auto near = [](const Edge& e) { return kBackward ? e.v : e.u; };
+  const auto far = [](const Edge& e) { return kBackward ? e.u : e.v; };
+  for (const Edge& e : gap(0)) marks.mark(layer(0), near(e));
+  for (std::size_t i = 0;; ++i) {
+    frontier.clear();
+    for (const Edge& e : gap(i)) {
+      if (i > 0 && !marks.marked(layer(i), near(e))) continue;
+      if (kFirstPath && i + 1 == k) return true;
+      frontier.push_back(far(e));
+    }
+    if (frontier.empty()) return false;
+    marks.begin(layer(i + 1));
+    for (Vertex v : frontier) {
+      marks.mark(layer(i + 1), v);
+      if (i + 1 == k) continue;
+      const Vertex mate = m.mate(v);
+      WMATCH_ASSERT(mate != kNoVertex);
+      marks.mate(layer(i + 1), mate);
+    }
+    if (i + 1 == k) return true;
+  }
+}
+
 }  // namespace
 
 Parametrization random_parametrization(std::size_t n, Rng& rng) {
@@ -191,7 +254,7 @@ std::span<const Edge> BucketedEdges::witnesses(int key_u, int b,
 }
 
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
-                                 const Matching& /*m*/,
+                                 const Matching& m,
                                  const Parametrization& par,
                                  const TauPair& tau, std::size_t n,
                                  const runtime::RuntimeConfig& /*rt*/) {
@@ -202,53 +265,80 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
   LayeredGraph out;
   out.layers = layers;
   if (fast_reject(edges, tau)) return out;
-  for (std::size_t t = 0; t < k; ++t) {
-    out.num_between_edges += gap_edges(edges, tau, t).size();
-  }
-  if (out.num_between_edges == 0) return out;
+  std::vector<std::span<const Edge>> gaps;
+  if (!fill_gaps(edges, tau, gaps, out.num_between_edges)) return out;
 
-  // Every edge of L' as (layer of u, layer of v, edge): the intermediate X
-  // edges first (first/last-layer matched edges belong to L but are
-  // removed in L'), then the Y edges in gap order.
-  auto for_each_edge = [&](auto&& f) {
-    for (std::size_t t = 1; t + 1 < layers; ++t) {
-      const int a = tau.tau_a[t];
-      if (a <= 0) continue;
-      for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-        f(t, t, e);
-      }
+  // The core: the (layer, vertex) pairs marked by both walks, one byte per
+  // pair of the dense table indexed by t*n + v.
+  constexpr std::uint8_t kForwardMark = 1, kBackwardMark = 2;
+  std::vector<std::uint8_t> mark(layers * n, 0);
+  struct LayerMarks {
+    std::vector<std::uint8_t>& bytes;
+    std::size_t n;
+    std::size_t& count;  // distinct pairs marked by either walk
+    std::uint8_t bit;
+    void begin(std::size_t) {}
+    void mark(std::size_t t, Vertex v) {
+      std::uint8_t& b = bytes[t * n + v];
+      count += b == 0;
+      b |= bit;
     }
-    for (std::size_t t = 0; t < k; ++t) {
-      for (const Edge& e : gap_edges(edges, tau, t)) f(t, t + 1, e);
+    void mate(std::size_t t, Vertex x) { mark(t, x); }
+    bool marked(std::size_t t, Vertex u) const {
+      return (bytes[t * n + u] & bit) != 0;
     }
   };
+  std::vector<Vertex> frontier;
+  LayerMarks forward{mark, n, out.marked, kForwardMark};
+  if (!walk_layers<false, false>(gaps, m, frontier, forward)) return out;
+  LayerMarks backward{mark, n, out.marked, kBackwardMark};
+  walk_layers<true, false>(gaps, m, frontier, backward);
+  const auto in_core = [&](std::size_t t, Vertex v) {
+    return mark[t * n + v] == (kForwardMark | kBackwardMark);
+  };
 
-  // Compress the (layer, vertex) pairs that occur on at least one edge,
-  // numbered in first-occurrence order through a dense table indexed by
-  // t*n + v.
+  // Compress the core's (layer, vertex) pairs, numbered in first-occurrence
+  // order through a dense table indexed by t*n + v, over its edges (those
+  // with both ends in it) in the full build's order: the intermediate X
+  // edges first (first/last-layer matched edges belong to L but are
+  // removed in L'), then the Y edges in gap order.
   constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> id(layers * n, kUnset);
   auto intern = [&](std::size_t t, Vertex v) {
     std::uint32_t& slot = id[t * n + v];
-    if (slot != kUnset) return;
-    slot = static_cast<std::uint32_t>(out.original.size());
-    out.original.push_back(v);
-    out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
-    out.side.push_back(par[v]);
+    if (slot == kUnset) {
+      slot = static_cast<std::uint32_t>(out.original.size());
+      out.original.push_back(v);
+      out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
+      out.side.push_back(par[v]);
+    }
+    return slot;
   };
-  for_each_edge([&](std::size_t tu, std::size_t tv, const Edge& e) {
-    intern(tu, e.u);
-    intern(tv, e.v);
-  });
+  std::vector<Edge> kept;  // compressed; the first num_x are X edges
+  for (std::size_t t = 1; t < k; ++t) {
+    const int a = tau.tau_a[t];
+    if (a <= 0) continue;
+    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+      if (in_core(t, e.u) && in_core(t, e.v)) {
+        kept.push_back({intern(t, e.u), intern(t, e.v), e.w});
+      }
+    }
+  }
+  const std::size_t num_x = kept.size();
+  for (std::size_t t = 0; t < k; ++t) {
+    for (const Edge& e : gaps[t]) {
+      if (in_core(t, e.u) && in_core(t + 1, e.v)) {
+        kept.push_back({intern(t, e.u), intern(t + 1, e.v), e.w});
+      }
+    }
+  }
 
   Graph lp(out.original.size());
   Matching ml(out.original.size());
-  for_each_edge([&](std::size_t tu, std::size_t tv, const Edge& e) {
-    const std::uint32_t cu = id[tu * n + e.u];
-    const std::uint32_t cv = id[tv * n + e.v];
-    lp.add_edge(cu, cv, e.w);
-    if (tu == tv) ml.add(cu, cv, e.w);  // X edges stay within a layer
-  });
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    lp.add_edge(kept[i].u, kept[i].v, kept[i].w);
+    if (i < num_x) ml.add(kept[i]);
+  }
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);
   return out;
@@ -261,57 +351,37 @@ LayeredReach reach_layered_graph(const BucketedEdges& edges,
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   WMATCH_REQUIRE(scratch.stamp.size() == m.num_vertices(),
                  "reach scratch size");
-  const std::size_t k = layers - 1;
 
   LayeredReach out;
-  if (fast_reject(edges, tau)) return out;
-  std::vector<std::span<const Edge>>& gaps = scratch.gaps;
-  gaps.clear();
-  bool every_gap = true;
-  for (std::size_t t = 0; t < k; ++t) {
-    gaps.push_back(gap_edges(edges, tau, t));
-    out.num_between_edges += gaps.back().size();
-    every_gap &= !gaps.back().empty();
-  }
-  // A path takes one Y edge from every gap; with one gap each Y edge is a
-  // path (both of its ends are ML'-free).
-  if (!every_gap) return out;
-  if (k == 1) {
-    out.augmenting = true;
+  if (fast_reject(edges, tau) ||
+      !fill_gaps(edges, tau, scratch.gaps, out.num_between_edges)) {
     return out;
   }
 
-  std::vector<Vertex>& frontier = scratch.frontier;
-  frontier.clear();
-  for (const Edge& e : gaps[0]) frontier.push_back(e.v);
-  for (std::size_t t = 1; t < k; ++t) {
-    // All of layer t's marks go down before gap t is scanned: when
-    // tau_a repeats, a vertex of layer t can also be a mate in layer t+1,
-    // and marking it for t+1 mid-scan would hide its own gap-t edges.
-    if (++scratch.epoch == 0) {
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
-      scratch.epoch = 1;
-    }
-    const std::uint32_t epoch = scratch.epoch;
-    for (Vertex v : frontier) {
-      const Vertex mate = m.mate(v);
-      WMATCH_ASSERT(mate != kNoVertex);
-      if (scratch.stamp[mate] != epoch) {
-        scratch.stamp[mate] = epoch;
-        ++out.reached;
+  // Layer t's marks are the mates stamped with the epoch begun for it.
+  struct MateStamps {
+    ReachScratch& s;
+    std::size_t& reached;
+    void begin(std::size_t) {
+      if (++s.epoch == 0) {
+        std::fill(s.stamp.begin(), s.stamp.end(), 0);
+        s.epoch = 1;
       }
     }
-    frontier.clear();
-    for (const Edge& e : gaps[t]) {
-      if (scratch.stamp[e.u] != epoch) continue;
-      if (t + 1 == k) {
-        out.augmenting = true;
-        return out;
+    void mark(std::size_t, Vertex) {}
+    void mate(std::size_t, Vertex x) {
+      if (s.stamp[x] != s.epoch) {
+        s.stamp[x] = s.epoch;
+        ++reached;
       }
-      frontier.push_back(e.v);
     }
-    if (frontier.empty()) return out;
-  }
+    bool marked(std::size_t, Vertex u) const {
+      return s.stamp[u] == s.epoch;
+    }
+  };
+  MateStamps stamps{scratch, out.reached};
+  out.augmenting =
+      walk_layers<false, true>(scratch.gaps, m, scratch.frontier, stamps);
   return out;
 }
 

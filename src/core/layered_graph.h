@@ -17,10 +17,11 @@
 // translates to a walk in G with strictly positive gain (soundness of the
 // filtering).
 //
-// We materialize only the *present* vertices (compressed ids) of L', the
-// working graph of Algorithm 4 (first/last-layer matched edges removed).
-// reach_layered_graph answers, without materializing L', whether it holds
-// an augmenting path at all.
+// L' is the working graph of Algorithm 4 (first/last-layer matched edges
+// removed). Algorithm 4 keeps only the augmenting components of
+// M' xor M_L', so we materialize only the *core* of L' (compressed ids):
+// the union of its M_L'-augmenting paths. reach_layered_graph answers,
+// without materializing anything, whether the core is empty.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +42,17 @@ using Parametrization = std::vector<char>;
 Parametrization random_parametrization(std::size_t n, Rng& rng);
 
 struct LayeredGraph {
-  GraphView lprime;             ///< compressed L' (intermediate X + all Y edges)
+  GraphView lprime;             ///< the core of L', compressed; may be empty
   std::vector<char> side;       ///< bipartition of lprime (original sides)
-  Matching ml;                  ///< M restricted to L' (intermediate X edges)
+  Matching ml;                  ///< M restricted to lprime (its X edges)
   std::vector<Vertex> original; ///< compressed id -> original vertex
   std::vector<std::uint16_t> layer_of;  ///< compressed id -> layer (1-based)
   std::size_t layers = 0;       ///< k+1
-  std::size_t num_between_edges = 0;  ///< |Y|: 0 means the graph is useless
+  /// |Y| of the full L', core or not: 0 means the pair is not a layered
+  /// graph at all.
+  std::size_t num_between_edges = 0;
+  /// Distinct (layer, vertex) pairs the build's two walks marked.
+  std::size_t marked = 0;
 };
 
 /// Pre-filtered view of (G, M) under one parametrization: only L-R
@@ -106,13 +111,30 @@ struct BucketedEdges {
 /// `edges` must come from crossing_edges; umax must lie in [1, 65534].
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
-/// Builds the layered graph L' for one good pair over pre-bucketed edges.
-/// Gap t takes its Y edges straight from the witness list of
-/// (tau^A_t, tau^B_t, tau^A_{t+1}), so L' reflects the matching and
-/// bipartition that `edges` was built from: `m` and `par` must be the ones
-/// given to crossing_edges. The build reads `par` for the sides of L'. It
-/// ignores `m` and `rt`, and runs on the calling thread; the two
-/// parameters stay because existing callers pass them.
+/// Builds the core of the layered graph L' for one good pair over
+/// pre-bucketed edges. Gap t takes its Y edges straight from the witness
+/// list of (tau^A_t, tau^B_t, tau^A_{t+1}), so L' reflects the matching
+/// and bipartition that `edges` was built from: `m` and `par` must be the
+/// ones given to crossing_edges.
+///
+/// Every M_L'-free vertex of L' is an R end of gap 0 in layer 1 or an L
+/// end of the last gap in layer k+1, and an alternating path from the
+/// former only moves forward (see reach_layered_graph). So before
+/// interning, a forward walk marks, from the R ends of gap 0, the L end of
+/// every gap-t witness whose R end is marked in layer t and, in an
+/// interior layer, that vertex's M-mate; a backward walk applies the same
+/// rule from the L ends of the last gap towards layer 1. Marks are kept per
+/// layer (one byte per (layer, vertex)), since a repeated tau^A puts one
+/// vertex in several layers. The core is the pairs both walks mark, and
+/// the edges with both ends in it (the mate steps put an X edge there
+/// exactly when its L end is marked forward and its R end backward).
+/// Interning keeps the full build's order (X edges, then Y edges in gap
+/// order, numbered by first occurrence) over the kept edges, so L' becomes
+/// exactly the union of its M_L'-augmenting paths, and a maximum matching
+/// of the core leaves as many augmenting components as one of the full
+/// L'. An empty core gives a valid 0-vertex lprime. The build reads `m`
+/// for mates and `par` for sides; it ignores `rt` and runs on the calling
+/// thread, a parameter kept because existing callers pass it.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,
@@ -123,7 +145,7 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
 struct LayeredReach {
   std::size_t num_between_edges = 0;  ///< |Y|, equal to the build's
   bool augmenting = false;  ///< L' holds an ML'-augmenting path
-  std::size_t reached = 0;  ///< distinct (layer, vertex) pairs marked
+  std::size_t reached = 0;  ///< distinct (layer, mate) pairs marked
 };
 
 /// Scratch that reach_layered_graph reuses across the pairs of one class:
@@ -136,17 +158,18 @@ struct ReachScratch {
   std::vector<Vertex> frontier;
 };
 
-/// Decides whether the L' that build_layered_graph(edges, m, par, tau, n)
-/// would return holds an ML'-augmenting path, with the build's fast reject
-/// and gap rule. The ML'-free vertices of L' are the R ends of gap 0 and
-/// the L ends of the last gap, and an alternating path from one of the
-/// former can only move forward: a Y edge from R(t) to L(t+1), then the
-/// X edge to its M-mate in layer t+1. So the walk starts from the L ends
-/// of gap 0, marks the mates of the frontier in layer t, keeps the L ends
-/// of the gap-t witnesses whose R end is marked, and stops at the first
-/// witness of the last gap that starts at a marked vertex. It reads only
-/// `edges`, m's mates and `scratch`; |Y| is counted in full even when the
-/// walk stops early. `m` must be the matching given to crossing_edges and
+/// Decides whether the full L' of a pair holds an ML'-augmenting path,
+/// that is whether build_layered_graph(edges, m, par, tau, n) returns a
+/// non-empty core, with the build's fast reject, gap rule and forward
+/// walk. The ML'-free vertices of L' are the R ends of gap 0 and the L
+/// ends of the last gap, and an alternating path from one of the former
+/// can only move forward: a Y edge from R(t) to L(t+1), then the X edge to
+/// its M-mate in layer t+1. So the walk starts from the L ends of gap 0,
+/// marks the mates of the frontier in layer t, keeps the L ends of the
+/// gap-t witnesses whose R end is marked, and stops at the first witness
+/// of the last gap that starts at a marked vertex. It reads only `edges`,
+/// m's mates and `scratch`; |Y| is counted in full even when the walk
+/// stops early. `m` must be the matching given to crossing_edges and
 /// `scratch` must hold a stamp per vertex of G.
 LayeredReach reach_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const TauPair& tau,

@@ -33,6 +33,8 @@ SingleClassResult find_class_augmentations(const GraphView& g,
                                            UnweightedMatcher& matcher,
                                            Rng& rng) {
   static obs::Counter& core_empty_counter = obs::counter("solver.core_empty");
+  static obs::Histogram& layered_vertices =
+      obs::histogram("solver.layered_vertices");
   SingleClassResult result;
   const Weight unit = quantum(w_class, tau_cfg);
   const int umax = max_units(tau_cfg);
@@ -85,8 +87,13 @@ SingleClassResult find_class_augmentations(const GraphView& g,
       ++core_empty;
       continue;
     }
+    // The build holds its two walks' marks only while it runs, and hands
+    // the black box the core of L'.
     LayeredGraph lg =
         build_layered_graph(buckets, m, par, pair, g.num_vertices());
+    meter.add(lg.marked);
+    meter.sub(lg.marked);
+    layered_vertices.observe(static_cast<double>(lg.lprime.num_vertices()));
 
     // One layered subgraph lives at a time: the compressed vertex maps
     // (original, layer_of, side), the intermediate matching M_L', and the

@@ -2,13 +2,17 @@
 //
 // For a fixed class weight W: draw a random L/R bipartition, and for every
 // good (tau^A, tau^B) pair whose layered graph L' holds an augmenting path
-// w.r.t. M_{L'} (reach_layered_graph), build L', solve it with the
-// unweighted bipartite black box, extract the augmenting paths of
-// M' ∪ M_{L'}, translate them back to G, decompose every translated walk
-// (Lemma 4.11) and keep its best-gain component. The returned collection
-// is vertex-disjoint and every element has strictly positive gain. A pair
-// whose L' holds no augmenting path could yield no candidate, so skipping
-// it changes no result; only black-box invocations and stored words fall.
+// w.r.t. M_{L'} (reach_layered_graph), build the core of L' (the union of
+// its M_{L'}-augmenting paths), solve it with the unweighted bipartite
+// black box, extract the augmenting paths of M' ∪ M_{L'}, translate them
+// back to G, decompose every translated walk (Lemma 4.11) and keep its
+// best-gain component. The returned collection is vertex-disjoint and
+// every element has strictly positive gain. A pair whose L' holds no
+// augmenting path could yield no candidate, so skipping it changes no
+// result. Solving the core instead of L' keeps every augmenting path, so
+// an exact black box finds as many augmenting components; but the black
+// box sees a different graph, so its matching, and with it the
+// candidates, may differ (DESIGN.md §2).
 //
 // Divergence from the paper's Line 13 (documented in DESIGN.md): instead
 // of keeping only the single best tau pair's augmentation set, we pool
@@ -36,9 +40,9 @@ struct SingleClassResult {
   std::size_t layered_graphs = 0;
   /// Peak words this class stores at once under the semi-streaming
   /// convention (streaming/memory_meter.h): the bucketed class-window
-  /// edges, one pair's walk marks or one layered subgraph's vertex maps +
-  /// intermediate matching + black-box working state (O(n) per class),
-  /// and the candidate pool.
+  /// edges, one pair's walk marks, one build's walk marks, or one core's
+  /// vertex maps + intermediate matching + black-box working state (O(n)
+  /// per class), and the candidate pool.
   /// A deterministic function of the inputs, so per-class peaks can be
   /// summed at the round barrier regardless of thread count.
   std::size_t stored_words_peak = 0;

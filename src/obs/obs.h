@@ -13,7 +13,8 @@
 //   solver.*   core::improve_matching_once — solver.round / solver.class
 //              spans; rounds counter; core::pairs_for_values —
 //              tau_pairs, tau_trials counters;
-//              core::find_class_augmentations — core_empty counter
+//              core::find_class_augmentations — core_empty counter,
+//              layered_vertices histogram (|V(L')| per black-box call)
 //   hk.*       exact::hopcroft_karp  — hk.phase / hk.bfs / hk.dfs spans;
 //              phases counter
 //   mpc.*      mpc_bipartite_matching — mpc.sample / mpc.filter spans

@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "core/layered_graph.h"
+#include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
+#include "graph/augmentation.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
@@ -383,48 +385,135 @@ void expect_same_build(const LayeredGraph& got, const LayeredGraph& want) {
   ASSERT_EQ(got.ml.edges(), want.ml.edges());
 }
 
-// Whether L' holds an ML'-augmenting path, by an alternating BFS that
-// knows nothing of layers: from every ML'-free R vertex, leave an R vertex
-// by a non-ML' edge and an L vertex by its ML' edge, until an ML'-free L
-// vertex is reached.
-bool has_augmenting_path(const LayeredGraph& lg) {
+// The vertices of L' that an alternating search reaches from the
+// ML'-free vertices of side `from` (1 = R, 0 = L): it leaves a vertex of
+// that side by a non-ML' edge and a vertex of the other side by its ML'
+// edge, and knows nothing of layers.
+std::vector<char> alternating_reach(const LayeredGraph& lg, char from) {
   const GraphView& g = lg.lprime;
   std::vector<char> seen(g.num_vertices(), 0);
   std::vector<Vertex> queue;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (lg.side[v] == 1 && !lg.ml.is_matched(v)) {
+    if (lg.side[v] == from && !lg.ml.is_matched(v)) {
       seen[v] = 1;
       queue.push_back(v);
     }
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex r = queue[head];
-    for (Vertex l : g.neighbors(r)) {
-      if (lg.ml.mate(r) == l || seen[l]) continue;
-      seen[l] = 1;
-      if (!lg.ml.is_matched(l)) return true;
-      const Vertex next = lg.ml.mate(l);
+    const Vertex x = queue[head];
+    for (Vertex y : g.neighbors(x)) {
+      if (lg.ml.mate(x) == y || seen[y]) continue;
+      seen[y] = 1;
+      if (!lg.ml.is_matched(y)) continue;  // a free end: the path stops
+      const Vertex next = lg.ml.mate(y);
       if (!seen[next]) {
         seen[next] = 1;
         queue.push_back(next);
       }
     }
   }
+  return seen;
+}
+
+// Whether L' holds an ML'-augmenting path: the search from the ML'-free R
+// vertices reaches an ML'-free L vertex.
+bool has_augmenting_path(const LayeredGraph& lg) {
+  const std::vector<char> reached = alternating_reach(lg, 1);
+  for (Vertex v = 0; v < lg.lprime.num_vertices(); ++v) {
+    if (reached[v] && lg.side[v] == 0 && !lg.ml.is_matched(v)) return true;
+  }
   return false;
 }
 
+// The core of a full L': the vertices that the alternating search reaches
+// both from the ML'-free R vertices and from the ML'-free L vertices, and
+// the edges with both ends kept, renumbered by first occurrence in the
+// full build's edge order. |Y| stays the full one.
+LayeredGraph prune_to_core(const LayeredGraph& full) {
+  const std::vector<char> from_r = alternating_reach(full, 1);
+  const std::vector<char> from_l = alternating_reach(full, 0);
+  LayeredGraph out;
+  out.layers = full.layers;
+  out.num_between_edges = full.num_between_edges;
+  constexpr Vertex kUnset = std::numeric_limits<Vertex>::max();
+  std::vector<Vertex> id(full.lprime.num_vertices(), kUnset);
+  auto renumber = [&](Vertex v) {
+    if (id[v] == kUnset) {
+      id[v] = static_cast<Vertex>(out.original.size());
+      out.original.push_back(full.original[v]);
+      out.layer_of.push_back(full.layer_of[v]);
+      out.side.push_back(full.side[v]);
+    }
+    return id[v];
+  };
+  struct Kept {
+    Vertex u, v;
+    Weight w;
+    bool in_ml;
+  };
+  std::vector<Kept> kept;
+  for (const Edge& e : full.lprime.edges()) {
+    if (!from_r[e.u] || !from_l[e.u] || !from_r[e.v] || !from_l[e.v]) continue;
+    const Vertex u = renumber(e.u);
+    kept.push_back({u, renumber(e.v), e.w, full.ml.contains(e)});
+  }
+  Graph g(out.original.size());
+  Matching ml(out.original.size());
+  for (const Kept& e : kept) {
+    g.add_edge(e.u, e.v, e.w);
+    if (e.in_ml) ml.add(e.u, e.v, e.w);
+  }
+  out.lprime = GraphView(std::move(g));
+  out.ml = std::move(ml);
+  return out;
+}
+
+// The ML'-augmenting components of M' xor ML' for a maximum matching M'
+// of L' (Hopcroft-Karp run to optimality).
+std::size_t augmenting_components(const LayeredGraph& lg) {
+  const Matching mprime = exact::hopcroft_karp(lg.lprime, lg.side).matching;
+  std::size_t count = 0;
+  for (const Augmentation& comp :
+       symmetric_difference_components(mprime, lg.ml)) {
+    if (comp.is_cycle) continue;
+    std::size_t in_mprime = 0;
+    for (const Edge& e : comp.edges) in_mprime += mprime.contains(e);
+    count += 2 * in_mprime > comp.edges.size();
+  }
+  return count;
+}
+
+// The build against the full reference L': exactly its pruned core, with
+// the full |Y|, walk marks that cover the core and lie in the full L', and
+// as many augmenting components under a maximum matching.
+void expect_core_of(const LayeredGraph& got, const LayeredGraph& full) {
+  expect_same_build(got, prune_to_core(full));
+  ASSERT_LE(got.lprime.num_vertices(), got.marked);
+  ASSERT_LE(got.marked, full.lprime.num_vertices());
+  ASSERT_EQ(augmenting_components(got), augmenting_components(full));
+}
+
 // What the verdicts of reach_layered_graph covered in a loop. Paths
-// through a vertex that sits in two layers are rare on these instances;
-// ReachLayeredGraph.MarksALayerBeforeScanningItsGap plants one.
+// through a vertex that sits in two layers come from the unit-weight
+// instances; ReachLayeredGraph.MarksALayerBeforeScanningItsGap also
+// plants one by hand.
 struct ReachCoverage {
   std::size_t paths = 0, no_paths = 0;
   std::size_t died_inside = 0;  // every gap witnessed, yet no path
+  // A non-empty core over >= 4 layers with a repeated interior tau_a, so
+  // a vertex can sit in two layers of it.
+  std::size_t deep_repeated = 0;
 
   void count(const TauPair& tau, const core::LayeredReach& walk,
              const core::BucketedEdges& buckets) {
     if (walk.num_between_edges == 0) return;
     walk.augmenting ? ++paths : ++no_paths;
     const std::size_t k = tau.num_layers() - 1;
+    bool repeated = false;
+    for (std::size_t t = 1; t + 2 <= k; ++t) {
+      repeated |= tau.tau_a[t] == tau.tau_a[t + 1];
+    }
+    if (walk.augmenting && k >= 3 && repeated) ++deep_repeated;
     bool every_gap = true;
     for (std::size_t t = 0; t < k; ++t) {
       const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
@@ -439,16 +528,20 @@ struct ReachCoverage {
     EXPECT_GT(paths, 0u);
     EXPECT_GT(no_paths, 0u);
     EXPECT_GT(died_inside, 0u);
+    EXPECT_GT(deep_repeated, 0u);
   }
 };
 
-// The walk against the build: the same |Y|, and a path exactly when the
-// independent BFS finds one in the built L'.
+// The walk against the full reference L' and the built core: the same
+// |Y|, a path exactly when the independent search finds one in the full
+// L' and exactly when the core is non-empty, and no more marks than the
+// full L' has vertices.
 void expect_walk_matches(const core::LayeredReach& walk,
-                         const LayeredGraph& built) {
-  ASSERT_EQ(walk.num_between_edges, built.num_between_edges);
-  ASSERT_EQ(walk.augmenting, has_augmenting_path(built));
-  ASSERT_LE(walk.reached, built.lprime.num_vertices());
+                         const LayeredGraph& built, const LayeredGraph& full) {
+  ASSERT_EQ(walk.num_between_edges, full.num_between_edges);
+  ASSERT_EQ(walk.augmenting, has_augmenting_path(full));
+  ASSERT_EQ(walk.augmenting, built.lprime.num_vertices() > 0);
+  ASSERT_LE(walk.reached, full.lprime.num_vertices());
 }
 
 // A random matching of g: greedy over a shuffled edge order, each edge
@@ -467,6 +560,9 @@ Matching random_matching(const Graph& g, Rng& rng) {
 
 // One random instance of the reference comparisons: a simple graph, a
 // random matching and bipartition, and a class weight, bucketed both ways.
+// Instances from kUnitFrom on have unit weights and a class weight of
+// quantum 1, so every interior tau_a is 1: deep layered graphs whose paths
+// pass a vertex that sits in two layers.
 struct Instance {
   Matching m;
   Parametrization par;
@@ -475,16 +571,22 @@ struct Instance {
   core::BucketedEdges ref_buckets;  // reference_bucket_edges
 };
 
+constexpr int kUnitFrom = 12, kInstances = 18;
+
 Instance random_instance(std::size_t n, int inst, Rng& rng) {
   Instance out;
+  const bool unit_weights = inst >= kUnitFrom;
   const std::size_t max_m = n * (n - 1) / 2;
   Graph g = gen::erdos_renyi(n, std::min<std::size_t>(max_m, 4 * n), rng);
-  g = gen::assign_weights(g, gen::WeightDist::kUniform, 100, rng);
+  g = gen::assign_weights(
+      g, unit_weights ? gen::WeightDist::kUnit : gen::WeightDist::kUniform,
+      100, rng);
   out.m = random_matching(g, rng);
   out.par = core::random_parametrization(n, rng);
   out.cfg.max_layers = inst % 2 == 0 ? 4 : 6;
   out.cfg.granularity = inst % 3 == 0 ? 0.25 : 0.125;
-  const Weight w_class = 1 + static_cast<Weight>(rng.next_below(100));
+  const Weight w_class =
+      1 + static_cast<Weight>(rng.next_below(unit_weights ? 7 : 100));
   const Weight unit = core::quantum(w_class, out.cfg);
   const int umax = core::max_units(out.cfg);
   const CrossingEdges crossing = core::crossing_edges(freeze(g), out.m, out.par);
@@ -493,15 +595,15 @@ Instance random_instance(std::size_t n, int inst, Rng& rng) {
   return out;
 }
 
-// build_layered_graph must reproduce the reference on every pair that
-// pairs_for_values yields, over random simple graphs, matchings,
-// bipartitions and class weights.
+// build_layered_graph must reproduce the core of the reference L' on every
+// pair that pairs_for_values yields, over random simple graphs,
+// matchings, bipartitions and class weights.
 TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   Rng rng(77);
   std::size_t builds = 0, nonempty = 0;
   ReachCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
-    for (int inst = 0; inst < 12; ++inst) {
+    for (int inst = 0; inst < kInstances; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       ASSERT_EQ(in.buckets.matched_values(), in.ref_buckets.matched_values());
       ASSERT_EQ(in.buckets.unmatched_values(),
@@ -514,10 +616,10 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
             core::build_layered_graph(in.buckets, in.m, in.par, tau, n);
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
-        expect_same_build(got, want);
+        expect_core_of(got, want);
         const core::LayeredReach walk =
             core::reach_layered_graph(in.buckets, in.m, tau, scratch);
-        expect_walk_matches(walk, got);
+        expect_walk_matches(walk, got, want);
         if (::testing::Test::HasFatalFailure()) return;
         coverage.count(tau, walk, in.buckets);
         ++builds;
@@ -542,7 +644,7 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
               empty_triple = 0;
   ReachCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
-    for (int inst = 0; inst < 12; ++inst) {
+    for (int inst = 0; inst < kInstances; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       const int umax = core::max_units(in.cfg);
       core::ReachScratch scratch(n);
@@ -576,10 +678,10 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
             core::build_layered_graph(in.buckets, in.m, in.par, tau, n);
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
-        expect_same_build(got, want);
+        expect_core_of(got, want);
         const core::LayeredReach walk =
             core::reach_layered_graph(in.buckets, in.m, tau, scratch);
-        expect_walk_matches(walk, got);
+        expect_walk_matches(walk, got, want);
         if (::testing::Test::HasFatalFailure()) return;
         coverage.count(tau, walk, in.buckets);
 
@@ -648,15 +750,19 @@ core::LayeredReach walk_four_layers(const std::vector<Edge>& gap1,
   }
   Parametrization par(10);
   for (Vertex v = 0; v < 10; ++v) par[v] = v % 2 == 0 ? 1 : 0;
-  const core::BucketedEdges buckets =
-      core::bucket_edges(core::crossing_edges(freeze(g), m, par), 1, 8);
+  const CrossingEdges crossing = core::crossing_edges(freeze(g), m, par);
+  const core::BucketedEdges buckets = core::bucket_edges(crossing, 1, 8);
   const TauPair tau{{0, 2, 2, 0}, {3, 3, 3}};
   core::ReachScratch scratch(10);
   scratch.epoch = epoch;
   const core::LayeredReach walk =
       core::reach_layered_graph(buckets, m, tau, scratch);
-  expect_walk_matches(walk,
-                      core::build_layered_graph(buckets, m, par, tau, 10));
+  const LayeredGraph full = reference_build(
+      reference_bucket_edges(crossing, 1, 8), m, par, tau, 10, {});
+  const LayeredGraph built =
+      core::build_layered_graph(buckets, m, par, tau, 10);
+  expect_core_of(built, full);
+  expect_walk_matches(walk, built, full);
   return walk;
 }
 
@@ -684,8 +790,8 @@ TEST(ReachLayeredGraph, MarksALayerBeforeScanningItsGap) {
 }
 
 // Large builds (bipartite n = 2000, m = 20000, unit weights, so each gap
-// takes thousands of Y edges) under four threads, one thread and the
-// reference: the build ignores its RuntimeConfig, so all three agree.
+// takes thousands of Y edges) under four threads and one: the build
+// ignores its RuntimeConfig, so both give the core of the reference L'.
 TEST(LayeredGraphRandom, LargeBuildMatchesReference) {
   Rng rng(5);
   Graph g = gen::random_bipartite(1000, 1000, 20000, rng);
@@ -698,21 +804,23 @@ TEST(LayeredGraphRandom, LargeBuildMatchesReference) {
       core::bucket_edges(crossing, unit, core::max_units(cfg));
   const core::BucketedEdges ref_buckets =
       reference_bucket_edges(crossing, unit, core::max_units(cfg));
-  std::size_t most_between = 0;
+  std::size_t most_between = 0, cores = 0;
   for (const TauPair& tau : core::pairs_for_values(
            buckets.matched_values(), buckets.unmatched_values(), cfg, rng)) {
     const LayeredGraph want = reference_build(ref_buckets, m, par, tau, 2000,
                                               runtime::RuntimeConfig{4});
-    expect_same_build(core::build_layered_graph(buckets, m, par, tau, 2000,
-                                                runtime::RuntimeConfig{4}),
-                      want);
+    const LayeredGraph got = core::build_layered_graph(
+        buckets, m, par, tau, 2000, runtime::RuntimeConfig{4});
+    expect_core_of(got, want);
     expect_same_build(core::build_layered_graph(buckets, m, par, tau, 2000,
                                                 runtime::RuntimeConfig{1}),
-                      want);
+                      got);
     if (::testing::Test::HasFatalFailure()) return;
     most_between = std::max(most_between, want.num_between_edges);
+    cores += got.lprime.num_vertices() > 0;
   }
   EXPECT_GT(most_between, 1000u);
+  EXPECT_GT(cores, 0u);
 }
 
 }  // namespace
