@@ -45,41 +45,38 @@ std::span<const Edge> gap_edges(const BucketedEdges& edges,
   return edges.witnesses(au, tau.tau_b[t], av);
 }
 
-/// Fills `gaps` with the pair's k gaps in order and `num_between` with |Y|,
-/// their total size. Returns whether every gap has a witness: a path takes
-/// one Y edge from each.
-bool fill_gaps(const BucketedEdges& edges, const TauPair& tau,
-               std::vector<std::span<const Edge>>& gaps,
-               std::size_t& num_between) {
-  gaps.clear();
-  bool every_gap = true;
-  for (std::size_t t = 0; t + 1 < tau.num_layers(); ++t) {
-    gaps.push_back(gap_edges(edges, tau, t));
-    num_between += gaps.back().size();
-    every_gap &= !gaps.back().empty();
-  }
-  return every_gap;
-}
+/// One walk's marks in the byte table shared by both walks, one byte per
+/// (layer, vertex) indexed t*n + v, where t counts the layers of L' from 0
+/// (layer_of counts from 1). The walk sets and reads its own bit; `count`
+/// counts the pairs that either walk marked.
+struct LayerMarks {
+  std::uint8_t* bytes;
+  std::size_t n;
+  std::uint8_t bit;
+  std::size_t& count;
 
-/// The forward rule of the layering over one pair's k gaps, shared by the
-/// walk and the build. The near ends of gap 0 are marked in layer 0, and a
-/// gap-t witness whose near end is marked in layer t marks its far end in
-/// layer t+1 and, when t+1 < k, that vertex's M-mate. Forward, a witness's
-/// near end is its R end, so layer 0 holds ML'-free R vertices;
-/// kBackward runs the same rule from the L ends of gap k-1 towards layer
-/// 0, with the ends of every witness swapped. A layer's marks all go down
-/// after the gap before it is scanned: when tau_a repeats, a vertex sits
-/// in consecutive layers, and a per-vertex stamp set mid-scan would hide
-/// its own gap edges. `marks` takes begin(t) before layer t >= 1 gets its
-/// marks, mark(t, v) for a near end of gap 0 or a far end, mate(t, x) for
-/// a mate, and answers marked(t, u); t indexes the layers of L' from 0
-/// (layer_of counts from 1). With kFirstPath the walk stops at the first
-/// witness of the last gap whose near end is marked. Returns whether a
-/// mark reached the last layer.
-template <bool kBackward, bool kFirstPath, typename Marks>
+  void mark(std::size_t t, Vertex v) {
+    std::uint8_t& b = bytes[t * n + v];
+    count += b == 0;
+    b |= bit;
+  }
+  bool marked(std::size_t t, Vertex u) const {
+    return (bytes[t * n + u] & bit) != 0;
+  }
+};
+
+/// The forward rule of the layering over one pair's k gaps. The near ends
+/// of gap 0 are marked in layer 0, and a gap-t witness whose near end is
+/// marked in layer t marks its far end in layer t+1 and, when t+1 < k, that
+/// vertex's M-mate. Forward, a witness's near end is its R end, so layer 0
+/// holds ML'-free R vertices; kBackward runs the same rule from the L ends
+/// of gap k-1 towards layer 0, with the ends of every witness swapped.
+/// Scanning a gap reads the marks of one layer and sets those of the next,
+/// so a vertex that sits in consecutive layers (a repeated tau_a) keeps its
+/// marks apart. Returns whether a mark reached the last layer.
+template <bool kBackward>
 bool walk_layers(std::span<const std::span<const Edge>> gaps,
-                 const Matching& m, std::vector<Vertex>& frontier,
-                 Marks& marks) {
+                 const Matching& m, LayerMarks marks) {
   const std::size_t k = gaps.size();
   const auto layer = [k](std::size_t i) { return kBackward ? k - i : i; };
   const auto gap = [&](std::size_t i) {
@@ -88,24 +85,20 @@ bool walk_layers(std::span<const std::span<const Edge>> gaps,
   const auto near = [](const Edge& e) { return kBackward ? e.v : e.u; };
   const auto far = [](const Edge& e) { return kBackward ? e.u : e.v; };
   for (const Edge& e : gap(0)) marks.mark(layer(0), near(e));
-  for (std::size_t i = 0;; ++i) {
-    frontier.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    bool reached = false;
     for (const Edge& e : gap(i)) {
-      if (i > 0 && !marks.marked(layer(i), near(e))) continue;
-      if (kFirstPath && i + 1 == k) return true;
-      frontier.push_back(far(e));
-    }
-    if (frontier.empty()) return false;
-    marks.begin(layer(i + 1));
-    for (Vertex v : frontier) {
-      marks.mark(layer(i + 1), v);
+      if (!marks.marked(layer(i), near(e))) continue;
+      reached = true;
+      marks.mark(layer(i + 1), far(e));
       if (i + 1 == k) continue;
-      const Vertex mate = m.mate(v);
+      const Vertex mate = m.mate(far(e));
       WMATCH_ASSERT(mate != kNoVertex);
-      marks.mate(layer(i + 1), mate);
+      marks.mark(layer(i + 1), mate);
     }
-    if (i + 1 == k) return true;
+    if (!reached) return false;
   }
+  return true;
 }
 
 }  // namespace
@@ -260,39 +253,33 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const runtime::RuntimeConfig& /*rt*/) {
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
+  WMATCH_REQUIRE(n == m.num_vertices() && n == par.size(),
+                 "layered graph size");
   const std::size_t k = layers - 1;
 
   LayeredGraph out;
   out.layers = layers;
   if (fast_reject(edges, tau)) return out;
-  std::vector<std::span<const Edge>> gaps;
-  if (!fill_gaps(edges, tau, gaps, out.num_between_edges)) return out;
+  // |Y| counts every gap. A path takes one Y edge from each, so the build
+  // allocates nothing for the pair unless every gap has a witness.
+  bool every_gap = true;
+  for (std::size_t t = 0; t < k; ++t) {
+    const std::size_t size = gap_edges(edges, tau, t).size();
+    out.num_between_edges += size;
+    every_gap &= size > 0;
+  }
+  if (!every_gap) return out;
+  std::vector<std::span<const Edge>> gaps(k);
+  for (std::size_t t = 0; t < k; ++t) gaps[t] = gap_edges(edges, tau, t);
 
-  // The core: the (layer, vertex) pairs marked by both walks, one byte per
-  // pair of the dense table indexed by t*n + v.
+  // The core: the (layer, vertex) pairs marked by both walks. L' holds an
+  // M_L'-augmenting path exactly when the forward walk reaches the last
+  // layer; otherwise the core is empty and the backward walk is not run.
   constexpr std::uint8_t kForwardMark = 1, kBackwardMark = 2;
   std::vector<std::uint8_t> mark(layers * n, 0);
-  struct LayerMarks {
-    std::vector<std::uint8_t>& bytes;
-    std::size_t n;
-    std::size_t& count;  // distinct pairs marked by either walk
-    std::uint8_t bit;
-    void begin(std::size_t) {}
-    void mark(std::size_t t, Vertex v) {
-      std::uint8_t& b = bytes[t * n + v];
-      count += b == 0;
-      b |= bit;
-    }
-    void mate(std::size_t t, Vertex x) { mark(t, x); }
-    bool marked(std::size_t t, Vertex u) const {
-      return (bytes[t * n + u] & bit) != 0;
-    }
-  };
-  std::vector<Vertex> frontier;
-  LayerMarks forward{mark, n, out.marked, kForwardMark};
-  if (!walk_layers<false, false>(gaps, m, frontier, forward)) return out;
-  LayerMarks backward{mark, n, out.marked, kBackwardMark};
-  walk_layers<true, false>(gaps, m, frontier, backward);
+  const LayerMarks forward{mark.data(), n, kForwardMark, out.marked};
+  if (!walk_layers<false>(gaps, m, forward)) return out;
+  walk_layers<true>(gaps, m, {mark.data(), n, kBackwardMark, out.marked});
   const auto in_core = [&](std::size_t t, Vertex v) {
     return mark[t * n + v] == (kForwardMark | kBackwardMark);
   };
@@ -341,47 +328,6 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
   }
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);
-  return out;
-}
-
-LayeredReach reach_layered_graph(const BucketedEdges& edges,
-                                 const Matching& m, const TauPair& tau,
-                                 ReachScratch& scratch) {
-  const std::size_t layers = tau.num_layers();
-  WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
-  WMATCH_REQUIRE(scratch.stamp.size() == m.num_vertices(),
-                 "reach scratch size");
-
-  LayeredReach out;
-  if (fast_reject(edges, tau) ||
-      !fill_gaps(edges, tau, scratch.gaps, out.num_between_edges)) {
-    return out;
-  }
-
-  // Layer t's marks are the mates stamped with the epoch begun for it.
-  struct MateStamps {
-    ReachScratch& s;
-    std::size_t& reached;
-    void begin(std::size_t) {
-      if (++s.epoch == 0) {
-        std::fill(s.stamp.begin(), s.stamp.end(), 0);
-        s.epoch = 1;
-      }
-    }
-    void mark(std::size_t, Vertex) {}
-    void mate(std::size_t, Vertex x) {
-      if (s.stamp[x] != s.epoch) {
-        s.stamp[x] = s.epoch;
-        ++reached;
-      }
-    }
-    bool marked(std::size_t, Vertex u) const {
-      return s.stamp[u] == s.epoch;
-    }
-  };
-  MateStamps stamps{scratch, out.reached};
-  out.augmenting =
-      walk_layers<false, true>(scratch.gaps, m, scratch.frontier, stamps);
   return out;
 }
 

@@ -20,8 +20,9 @@
 // L' is the working graph of Algorithm 4 (first/last-layer matched edges
 // removed). Algorithm 4 keeps only the augmenting components of
 // M' xor M_L', so we materialize only the *core* of L' (compressed ids):
-// the union of its M_L'-augmenting paths. reach_layered_graph answers,
-// without materializing anything, whether the core is empty.
+// the union of its M_L'-augmenting paths. The build's forward walk decides
+// whether L' holds such a path at all, so one build per pair both skips
+// the pairs with none (an empty core) and yields the core of the others.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,8 @@ struct LayeredGraph {
   /// |Y| of the full L', core or not: 0 means the pair is not a layered
   /// graph at all.
   std::size_t num_between_edges = 0;
-  /// Distinct (layer, vertex) pairs the build's two walks marked.
+  /// Distinct (layer, vertex) pairs the build's walks marked: the forward
+  /// walk's alone when it dies before the last layer.
   std::size_t marked = 0;
 };
 
@@ -115,64 +117,33 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 /// pre-bucketed edges. Gap t takes its Y edges straight from the witness
 /// list of (tau^A_t, tau^B_t, tau^A_{t+1}), so L' reflects the matching
 /// and bipartition that `edges` was built from: `m` and `par` must be the
-/// ones given to crossing_edges.
+/// ones given to crossing_edges, and `n` their vertex count (a mismatch
+/// throws std::invalid_argument).
 ///
 /// Every M_L'-free vertex of L' is an R end of gap 0 in layer 1 or an L
 /// end of the last gap in layer k+1, and an alternating path from the
-/// former only moves forward (see reach_layered_graph). So before
-/// interning, a forward walk marks, from the R ends of gap 0, the L end of
-/// every gap-t witness whose R end is marked in layer t and, in an
-/// interior layer, that vertex's M-mate; a backward walk applies the same
-/// rule from the L ends of the last gap towards layer 1. Marks are kept per
-/// layer (one byte per (layer, vertex)), since a repeated tau^A puts one
-/// vertex in several layers. The core is the pairs both walks mark, and
-/// the edges with both ends in it (the mate steps put an X edge there
-/// exactly when its L end is marked forward and its R end backward).
-/// Interning keeps the full build's order (X edges, then Y edges in gap
-/// order, numbered by first occurrence) over the kept edges, so L' becomes
-/// exactly the union of its M_L'-augmenting paths, and a maximum matching
-/// of the core leaves as many augmenting components as one of the full
-/// L'. An empty core gives a valid 0-vertex lprime. The build reads `m`
+/// former only moves forward: a Y edge from R(t) to L(t+1), then the X
+/// edge to that vertex's M-mate in layer t+1. So a forward walk marks,
+/// from the R ends of gap 0, the L end of every gap-t witness whose R end
+/// is marked in layer t and, in an interior layer, that vertex's M-mate;
+/// L' holds an M_L'-augmenting path exactly when it reaches layer k+1.
+/// Only then does a backward walk apply the same rule from the L ends of
+/// the last gap towards layer 1. Marks are kept per layer (one byte per
+/// (layer, vertex)), since a repeated tau^A puts one vertex in several
+/// layers. The core is the pairs both walks mark, and the edges with both
+/// ends in it (the mate steps put an X edge there exactly when its L end
+/// is marked forward and its R end backward). Interning keeps the full
+/// build's order (X edges, then Y edges in gap order, numbered by first
+/// occurrence) over the kept edges, so L' becomes exactly the union of its
+/// M_L'-augmenting paths, and a maximum matching of the core leaves as
+/// many augmenting components as one of the full L'. The build allocates
+/// nothing for a pair with an unwitnessed gap, and no id table when the
+/// forward walk dies; either gives a valid 0-vertex lprime. It reads `m`
 /// for mates and `par` for sides; it ignores `rt` and runs on the calling
 /// thread, a parameter kept because existing callers pass it.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,
                                  const runtime::RuntimeConfig& rt = {});
-
-/// What a forward walk over the witness lists tells about one pair's L'
-/// without building it.
-struct LayeredReach {
-  std::size_t num_between_edges = 0;  ///< |Y|, equal to the build's
-  bool augmenting = false;  ///< L' holds an ML'-augmenting path
-  std::size_t reached = 0;  ///< distinct (layer, mate) pairs marked
-};
-
-/// Scratch that reach_layered_graph reuses across the pairs of one class:
-/// a stamp per vertex of G and the frontier.
-struct ReachScratch {
-  explicit ReachScratch(std::size_t n) : stamp(n, 0) {}
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  std::vector<std::span<const Edge>> gaps;
-  std::vector<Vertex> frontier;
-};
-
-/// Decides whether the full L' of a pair holds an ML'-augmenting path,
-/// that is whether build_layered_graph(edges, m, par, tau, n) returns a
-/// non-empty core, with the build's fast reject, gap rule and forward
-/// walk. The ML'-free vertices of L' are the R ends of gap 0 and the L
-/// ends of the last gap, and an alternating path from one of the former
-/// can only move forward: a Y edge from R(t) to L(t+1), then the X edge to
-/// its M-mate in layer t+1. So the walk starts from the L ends of gap 0,
-/// marks the mates of the frontier in layer t, keeps the L ends of the
-/// gap-t witnesses whose R end is marked, and stops at the first witness
-/// of the last gap that starts at a marked vertex. It reads only `edges`,
-/// m's mates and `scratch`; |Y| is counted in full even when the walk
-/// stops early. `m` must be the matching given to crossing_edges and
-/// `scratch` must hold a stamp per vertex of G.
-LayeredReach reach_layered_graph(const BucketedEdges& edges,
-                                 const Matching& m, const TauPair& tau,
-                                 ReachScratch& scratch);
 
 }  // namespace wmatch::core

@@ -52,7 +52,6 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   // single_class.h.)
   std::vector<Augmentation> candidates;
 
-  ReachScratch reach(g.num_vertices());
   std::size_t core_empty = 0;
   const std::size_t reps = std::max<std::size_t>(1, opts.parametrizations);
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -75,24 +74,19 @@ SingleClassResult find_class_augmentations(const GraphView& g,
                        tau_cfg, rng, /*rng_discarded=*/rep + 1 == reps);
 
   for (const TauPair& pair : pairs) {
-    // A candidate can only come from an ML'-augmenting path of L', so a
-    // pair whose L' holds none is neither built nor solved. The meter
-    // holds the walk's marks only while it runs.
-    const LayeredReach walk = reach_layered_graph(buckets, m, pair, reach);
-    if (walk.num_between_edges == 0) continue;
+    // The build holds its walks' marks only while it runs, and returns the
+    // core of L'. A candidate can only come from an ML'-augmenting path of
+    // L', so a pair whose core is empty is not solved.
+    LayeredGraph lg =
+        build_layered_graph(buckets, m, par, pair, g.num_vertices());
+    if (lg.num_between_edges == 0) continue;
     ++result.layered_graphs;
-    meter.add(walk.reached);
-    meter.sub(walk.reached);
-    if (!walk.augmenting) {
+    meter.add(lg.marked);
+    meter.sub(lg.marked);
+    if (lg.lprime.num_vertices() == 0) {
       ++core_empty;
       continue;
     }
-    // The build holds its two walks' marks only while it runs, and hands
-    // the black box the core of L'.
-    LayeredGraph lg =
-        build_layered_graph(buckets, m, par, pair, g.num_vertices());
-    meter.add(lg.marked);
-    meter.sub(lg.marked);
     layered_vertices.observe(static_cast<double>(lg.lprime.num_vertices()));
 
     // One layered subgraph lives at a time: the compressed vertex maps

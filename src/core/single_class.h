@@ -1,18 +1,17 @@
 // Algorithm 4 (Theorem 4.8): augmentations for a single augmentation class.
 //
 // For a fixed class weight W: draw a random L/R bipartition, and for every
-// good (tau^A, tau^B) pair whose layered graph L' holds an augmenting path
-// w.r.t. M_{L'} (reach_layered_graph), build the core of L' (the union of
-// its M_{L'}-augmenting paths), solve it with the unweighted bipartite
-// black box, extract the augmenting paths of M' ∪ M_{L'}, translate them
-// back to G, decompose every translated walk (Lemma 4.11) and keep its
-// best-gain component. The returned collection is vertex-disjoint and
-// every element has strictly positive gain. A pair whose L' holds no
-// augmenting path could yield no candidate, so skipping it changes no
-// result. Solving the core instead of L' keeps every augmenting path, so
-// an exact black box finds as many augmenting components; but the black
-// box sees a different graph, so its matching, and with it the
-// candidates, may differ (DESIGN.md §2).
+// good (tau^A, tau^B) pair build the core of the layered graph L' (the
+// union of its M_{L'}-augmenting paths). When the core is non-empty, solve
+// it with the unweighted bipartite black box, extract the augmenting paths
+// of M' ∪ M_{L'}, translate them back to G, decompose every translated
+// walk (Lemma 4.11) and keep its best-gain component. The returned
+// collection is vertex-disjoint and every element has strictly positive
+// gain. A pair whose core is empty could yield no candidate, so skipping
+// it changes no result. Solving the core instead of L' keeps every
+// augmenting path, so an exact black box finds as many augmenting
+// components; but the black box sees a different graph, so its matching,
+// and with it the candidates, may differ (DESIGN.md §2).
 //
 // Divergence from the paper's Line 13 (documented in DESIGN.md): instead
 // of keeping only the single best tau pair's augmentation set, we pool
@@ -35,14 +34,14 @@ namespace wmatch::core {
 struct SingleClassResult {
   std::vector<Augmentation> augmentations;  ///< disjoint, positive gain
   Weight total_gain = 0;     ///< sum of gains against the input matching
-  /// Pairs whose L' has a Y edge (|Y| > 0), whether or not it held an
-  /// augmenting path and so reached the black box.
+  /// Pairs whose L' has a Y edge (|Y| > 0), whether or not their core was
+  /// empty and so kept them from the black box.
   std::size_t layered_graphs = 0;
   /// Peak words this class stores at once under the semi-streaming
   /// convention (streaming/memory_meter.h): the bucketed class-window
-  /// edges, one pair's walk marks, one build's walk marks, or one core's
-  /// vertex maps + intermediate matching + black-box working state (O(n)
-  /// per class), and the candidate pool.
+  /// edges, one build's walk marks or one core's vertex maps +
+  /// intermediate matching + black-box working state (O(n) per class),
+  /// and the candidate pool.
   /// A deterministic function of the inputs, so per-class peaks can be
   /// summed at the round barrier regardless of thread count.
   std::size_t stored_words_peak = 0;

@@ -63,7 +63,11 @@ class GraphView {
   }
 
   /// Raw CSR arrays, for code that walks slots directly.
-  std::span<const std::uint32_t> offsets() const { return offsets_; }
+  std::span<const std::uint32_t> offsets() const {
+    static constexpr std::uint32_t kEmpty[1] = {0};
+    if (offsets_.empty()) return kEmpty;
+    return offsets_;
+  }
   std::span<const Vertex> neighbor_slots() const { return neighbor_; }
   std::span<const std::uint32_t> edge_id_slots() const { return edge_id_; }
   std::span<const Weight> weight_slots() const { return weight_; }
@@ -77,7 +81,9 @@ class GraphView {
  private:
   std::size_t n_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::uint32_t> offsets_ = {0};
+  /// Empty in a default view, which then allocates nothing: the layered
+  /// graph build returns one for every tau-pair, nearly all of them empty.
+  std::vector<std::uint32_t> offsets_;
   std::vector<Vertex> neighbor_;
   std::vector<std::uint32_t> edge_id_;
   std::vector<Weight> weight_;

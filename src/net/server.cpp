@@ -286,6 +286,17 @@ struct Server::Impl {
       handle_line(conn, line);
     }
     conn.inbuf.erase(0, begin);
+    if (conn.inbuf.size() > kMaxLineBytes) {
+      // No newline within the limit: answer once, drop the bytes and stop
+      // reading; reap closes the connection once its jobs are answered.
+      ++conn.line_no;
+      ++summary.parse_errors;
+      net_metrics().parse_errors.add();
+      reply_error(conn, "line too long", conn.line_no);
+      conn.inbuf.clear();
+      conn.eof = true;
+      return;
+    }
     if (conn.eof && !conn.inbuf.empty()) {
       // Final unterminated line: a client that sends one job and shuts
       // down its write side without a trailing newline still gets served.
@@ -314,7 +325,12 @@ struct Server::Impl {
       net_metrics().active.set(static_cast<std::int64_t>(conns.size()));
     }
     for (const std::shared_ptr<Conn>& c : dead) {
-      if (!c->is_stdio) close_fd(c->read_fd);  // stdio fds stay open
+      if (!c->is_stdio) {  // stdio fds stay open
+        // Send FIN before closing: a peer whose input went unread (a line
+        // too long) then reads every answer and EOF, not a reset.
+        ::shutdown(c->read_fd, SHUT_WR);
+        close_fd(c->read_fd);
+      }
       std::lock_guard<std::mutex> lk(log_mu);
       log << "serve: closed " << c->name << "\n";
     }

@@ -18,11 +18,12 @@
 // one obs registry snapshot; the control line "stats" gets one windowed
 // delta snapshot (per-interval rates plus sliding-window p50/p95/p99,
 // ISSUE 10); a malformed line gets {"error":"<source>:<line>: ...",
-// "line":N}. Responses stream back in completion order, not request
-// order — clients match on "id". A job may carry a client trace context
-// ("trace":{"id":N,"sent_ns":N}); the server then emits "req" flow steps
-// tying the client's spans to net.admit / service.job / service.solve /
-// net.request for that request.
+// "line":N}, and an unterminated line longer than kMaxLineBytes ends the
+// session with {"error":"line too long","line":N}. Responses stream back
+// in completion order, not request order — clients match on "id". A job
+// may carry a client trace context ("trace":{"id":N,"sent_ns":N}); the
+// server then emits "req" flow steps tying the client's spans to
+// net.admit / service.job / service.solve / net.request for that request.
 //
 // Overload behavior, two layers:
 //   * connection admission — more than `max_conns` concurrent clients:
@@ -53,6 +54,13 @@
 #include "service/scheduler.h"
 
 namespace wmatch::net {
+
+/// Most bytes a connection may hold after its last newline. A job line
+/// carries a generator spec or a file path, so real lines are far
+/// shorter; past the limit the server answers
+/// {"error":"line too long","line":N}, drops the bytes and closes the
+/// connection once its admitted jobs are answered.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 struct ServerConfig {
   /// TCP port to listen on (127.0.0.1): -1 = no listener, 0 = pick an

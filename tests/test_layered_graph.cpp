@@ -172,6 +172,24 @@ TEST_F(LayeredFixture, MatchedEndpointAdmittedWithPositiveTau) {
   EXPECT_TRUE(zero_in_layer1);
 }
 
+// The build indexes its tables by layer * n + vertex, so n must be the
+// vertex count of both the matching and the bipartition.
+TEST_F(LayeredFixture, RejectsMismatchedVertexCount) {
+  const core::BucketedEdges buckets =
+      core::bucket_edges(core::crossing_edges(freeze(g_), m_, par_), 5, 20);
+  const TauPair tau{{0, 2, 0}, {1, 1}};
+  EXPECT_EQ(core::build_layered_graph(buckets, m_, par_, tau, 4)
+                .lprime.num_vertices(),
+            4u);
+  for (std::size_t n : {0u, 3u, 5u}) {
+    EXPECT_THROW(core::build_layered_graph(buckets, m_, par_, tau, n),
+                 std::invalid_argument);
+  }
+  const Parametrization short_par(par_.begin(), par_.end() - 1);
+  EXPECT_THROW(core::build_layered_graph(buckets, m_, short_par, tau, 4),
+               std::invalid_argument);
+}
+
 TEST(LayeredGraphRandom, StructuralInvariants) {
   Rng rng(9);
   Graph g = gen::erdos_renyi(60, 300, rng);
@@ -484,36 +502,39 @@ std::size_t augmenting_components(const LayeredGraph& lg) {
 }
 
 // The build against the full reference L': exactly its pruned core, with
-// the full |Y|, walk marks that cover the core and lie in the full L', and
-// as many augmenting components under a maximum matching.
+// the full |Y|, walk marks that cover the core and lie in the full L', as
+// many augmenting components under a maximum matching, and a non-empty
+// core exactly when the independent search finds an augmenting path in
+// the full L'.
 void expect_core_of(const LayeredGraph& got, const LayeredGraph& full) {
   expect_same_build(got, prune_to_core(full));
   ASSERT_LE(got.lprime.num_vertices(), got.marked);
   ASSERT_LE(got.marked, full.lprime.num_vertices());
   ASSERT_EQ(augmenting_components(got), augmenting_components(full));
+  ASSERT_EQ(got.lprime.num_vertices() > 0, has_augmenting_path(full));
 }
 
-// What the verdicts of reach_layered_graph covered in a loop. Paths
-// through a vertex that sits in two layers come from the unit-weight
-// instances; ReachLayeredGraph.MarksALayerBeforeScanningItsGap also
-// plants one by hand.
-struct ReachCoverage {
+// What the builds covered in a loop. Paths through a vertex that sits in
+// two layers come from the unit-weight instances;
+// BuildLayeredGraph.KeepsMarksPerLayer also plants one by hand.
+struct CoreCoverage {
   std::size_t paths = 0, no_paths = 0;
   std::size_t died_inside = 0;  // every gap witnessed, yet no path
   // A non-empty core over >= 4 layers with a repeated interior tau_a, so
   // a vertex can sit in two layers of it.
   std::size_t deep_repeated = 0;
 
-  void count(const TauPair& tau, const core::LayeredReach& walk,
+  void count(const TauPair& tau, const LayeredGraph& built,
              const core::BucketedEdges& buckets) {
-    if (walk.num_between_edges == 0) return;
-    walk.augmenting ? ++paths : ++no_paths;
+    if (built.num_between_edges == 0) return;
+    const bool path = built.lprime.num_vertices() > 0;
+    path ? ++paths : ++no_paths;
     const std::size_t k = tau.num_layers() - 1;
     bool repeated = false;
     for (std::size_t t = 1; t + 2 <= k; ++t) {
       repeated |= tau.tau_a[t] == tau.tau_a[t + 1];
     }
-    if (walk.augmenting && k >= 3 && repeated) ++deep_repeated;
+    if (path && k >= 3 && repeated) ++deep_repeated;
     bool every_gap = true;
     for (std::size_t t = 0; t < k; ++t) {
       const int au = tau.tau_a[t], av = tau.tau_a[t + 1];
@@ -521,7 +542,7 @@ struct ReachCoverage {
                    (av > 0 || (av == 0 && t + 1 == k)) &&
                    !buckets.witnesses(au, tau.tau_b[t], av).empty();
     }
-    if (!walk.augmenting && every_gap) ++died_inside;
+    if (!path && every_gap) ++died_inside;
   }
 
   void expect_all() const {
@@ -531,18 +552,6 @@ struct ReachCoverage {
     EXPECT_GT(deep_repeated, 0u);
   }
 };
-
-// The walk against the full reference L' and the built core: the same
-// |Y|, a path exactly when the independent search finds one in the full
-// L' and exactly when the core is non-empty, and no more marks than the
-// full L' has vertices.
-void expect_walk_matches(const core::LayeredReach& walk,
-                         const LayeredGraph& built, const LayeredGraph& full) {
-  ASSERT_EQ(walk.num_between_edges, full.num_between_edges);
-  ASSERT_EQ(walk.augmenting, has_augmenting_path(full));
-  ASSERT_EQ(walk.augmenting, built.lprime.num_vertices() > 0);
-  ASSERT_LE(walk.reached, full.lprime.num_vertices());
-}
 
 // A random matching of g: greedy over a shuffled edge order, each edge
 // taken with probability 1/2 when both ends are free.
@@ -601,14 +610,13 @@ Instance random_instance(std::size_t n, int inst, Rng& rng) {
 TEST(LayeredGraphRandom, MatchesReferenceBuild) {
   Rng rng(77);
   std::size_t builds = 0, nonempty = 0;
-  ReachCoverage coverage;
+  CoreCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
     for (int inst = 0; inst < kInstances; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       ASSERT_EQ(in.buckets.matched_values(), in.ref_buckets.matched_values());
       ASSERT_EQ(in.buckets.unmatched_values(),
                 in.ref_buckets.unmatched_values());
-      core::ReachScratch scratch(n);
       for (const TauPair& tau : core::pairs_for_values(
                in.buckets.matched_values(), in.buckets.unmatched_values(),
                in.cfg, rng)) {
@@ -617,11 +625,8 @@ TEST(LayeredGraphRandom, MatchesReferenceBuild) {
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
         expect_core_of(got, want);
-        const core::LayeredReach walk =
-            core::reach_layered_graph(in.buckets, in.m, tau, scratch);
-        expect_walk_matches(walk, got, want);
         if (::testing::Test::HasFatalFailure()) return;
-        coverage.count(tau, walk, in.buckets);
+        coverage.count(tau, got, in.buckets);
         ++builds;
         if (want.num_between_edges > 0) ++nonempty;
       }
@@ -642,12 +647,11 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
   std::size_t non_crossing = 0, above_umax = 0;
   std::size_t interior_zero = 0, negative = 0, positive_ends = 0,
               empty_triple = 0;
-  ReachCoverage coverage;
+  CoreCoverage coverage;
   for (std::size_t n : {12u, 80u}) {
     for (int inst = 0; inst < kInstances; ++inst) {
       const Instance in = random_instance(n, inst, rng);
       const int umax = core::max_units(in.cfg);
-      core::ReachScratch scratch(n);
       for (Vertex v = 0; v < n; ++v) {
         const Vertex mate = in.m.mate(v);
         if (mate == kNoVertex) continue;
@@ -679,11 +683,8 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
         const LayeredGraph want =
             reference_build(in.ref_buckets, in.m, in.par, tau, n, {});
         expect_core_of(got, want);
-        const core::LayeredReach walk =
-            core::reach_layered_graph(in.buckets, in.m, tau, scratch);
-        expect_walk_matches(walk, got, want);
         if (::testing::Test::HasFatalFailure()) return;
-        coverage.count(tau, walk, in.buckets);
+        coverage.count(tau, got, in.buckets);
 
         // Coverage, among builds that pass the fast reject.
         bool rejected = false;
@@ -730,13 +731,12 @@ TEST(LayeredGraphRandom, HandMadePairsMatchReference) {
   coverage.expect_all();
 }
 
-// Hand-made walks over four layers with tau_a = (0, 2, 2, 0) at unit 1:
+// Hand-made builds over four layers with tau_a = (0, 2, 2, 0) at unit 1:
 // matched edges weigh 2 and unmatched ones 3, so every matched vertex sits
 // in both interior layers. R = {0, 2, 4, 6, 8}, L = {1, 3, 5, 7, 9}; 0 and
 // 9 are M-free, and 3-2, 1-4, 5-6, 7-8 are matched. Gap 0 (0 -> 1,
 // 0 -> 3) reaches 1 and 3, so layer 1 marks 4 and 2, and gap 2 is 6 -> 9.
-core::LayeredReach walk_four_layers(const std::vector<Edge>& gap1,
-                                    std::uint32_t epoch) {
+LayeredGraph build_four_layers(const std::vector<Edge>& gap1) {
   Graph g(10);
   g.add_edge(0, 1, 3);
   g.add_edge(0, 3, 3);
@@ -751,42 +751,33 @@ core::LayeredReach walk_four_layers(const std::vector<Edge>& gap1,
   Parametrization par(10);
   for (Vertex v = 0; v < 10; ++v) par[v] = v % 2 == 0 ? 1 : 0;
   const CrossingEdges crossing = core::crossing_edges(freeze(g), m, par);
-  const core::BucketedEdges buckets = core::bucket_edges(crossing, 1, 8);
   const TauPair tau{{0, 2, 2, 0}, {3, 3, 3}};
-  core::ReachScratch scratch(10);
-  scratch.epoch = epoch;
-  const core::LayeredReach walk =
-      core::reach_layered_graph(buckets, m, tau, scratch);
   const LayeredGraph full = reference_build(
       reference_bucket_edges(crossing, 1, 8), m, par, tau, 10, {});
-  const LayeredGraph built =
-      core::build_layered_graph(buckets, m, par, tau, 10);
+  LayeredGraph built = core::build_layered_graph(
+      core::bucket_edges(crossing, 1, 8), m, par, tau, 10);
   expect_core_of(built, full);
-  expect_walk_matches(walk, built, full);
-  return walk;
+  return built;
 }
 
 // The path 0 -> 1 = 4 -> 5 = 6 -> 9 needs 4 in layer 1, and the gap-1
-// edge 2 -> 1, first in crossing order, reaches 1 and so marks 4 again for
-// layer 2: marking while scanning would hide 4 -> 5. Then a gap 1 whose
-// only witness, 8 -> 5, leaves an unmarked vertex: the frontier dies in
-// layer 1 although every gap has witnesses. Both also run across the
-// wrap of the stamp epoch.
-TEST(ReachLayeredGraph, MarksALayerBeforeScanningItsGap) {
-  const std::vector<Edge> through_two_layers{{2, 1, 3}, {4, 5, 3}};
-  const std::vector<Edge> dead_end{{8, 5, 3}};
-  constexpr std::uint32_t kLast = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t epoch : {0u, kLast - 1, kLast}) {
-    const core::LayeredReach path = walk_four_layers(through_two_layers, epoch);
-    EXPECT_EQ(path.num_between_edges, 5u);
-    EXPECT_TRUE(path.augmenting);
-    EXPECT_EQ(path.reached, 4u);  // 4, 2 in layer 1; 4, 6 in layer 2
+// edge 2 -> 1, first in crossing order, reaches 1 and so marks 4 again in
+// layer 2: marks keyed by vertex alone would mix the layers up. Then a gap
+// 1 whose only witness, 8 -> 5, leaves an unmarked vertex: the forward
+// walk dies in layer 1 although every gap has witnesses, and the backward
+// walk never runs.
+TEST(BuildLayeredGraph, KeepsMarksPerLayer) {
+  const LayeredGraph path = build_four_layers({{2, 1, 3}, {4, 5, 3}});
+  EXPECT_EQ(path.num_between_edges, 5u);
+  EXPECT_EQ(path.lprime.num_vertices(), 6u);
+  // Forward: 0 in layer 0; 1, 4, 3, 2 in layer 1; 1, 4, 5, 6 in layer 2;
+  // 9 in layer 3. Backward marks nothing new.
+  EXPECT_EQ(path.marked, 10u);
 
-    const core::LayeredReach none = walk_four_layers(dead_end, epoch);
-    EXPECT_EQ(none.num_between_edges, 4u);
-    EXPECT_FALSE(none.augmenting);
-    EXPECT_EQ(none.reached, 2u);
-  }
+  const LayeredGraph none = build_four_layers({{8, 5, 3}});
+  EXPECT_EQ(none.num_between_edges, 4u);
+  EXPECT_EQ(none.lprime.num_vertices(), 0u);
+  EXPECT_EQ(none.marked, 5u);  // 0 in layer 0; 1, 4, 3, 2 in layer 1
 }
 
 // Large builds (bipartite n = 2000, m = 20000, unit weights, so each gap

@@ -110,6 +110,15 @@ class Client {
     }
   }
 
+  /// Whether the peer closes cleanly (a read of 0 bytes) within
+  /// `timeout_s`, with nothing unread first; a reset or a timeout is not.
+  bool reads_eof(double timeout_s = 30.0) {
+    if (!buf_.empty()) return false;
+    pollfd p{fd_, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(timeout_s * 1e3)) <= 0) return false;
+    return net::read_some(fd_, &buf_) == 0;
+  }
+
   int fd() const { return fd_; }
 
  private:
@@ -385,6 +394,33 @@ TEST(NetServer, MalformedLineAnswersErrorWithLineNumber) {
   }
   const net::ServeSummary summary = ts.finish();
   EXPECT_EQ(summary.parse_errors, 2u);
+  EXPECT_EQ(summary.requests, 1u);
+}
+
+// Bytes past kMaxLineBytes with no newline get one "line too long"
+// answer, counted as a parse error, and then EOF; the server keeps
+// serving other connections.
+TEST(NetServer, UnterminatedLinePastLimitAnswersErrorAndCloses) {
+  TestServer ts(small_server());
+  const std::uint64_t before = obs::counter("net.parse_errors").value();
+  {
+    Client client(ts.port());
+    // The server may close before the tail is sent, failing the write;
+    // only the answer matters.
+    (void)net::write_all(client.fd(),
+                         std::string(2 * net::kMaxLineBytes, 'x'));
+    EXPECT_EQ(client.read_line(), R"({"error":"line too long","line":1})");
+    EXPECT_TRUE(client.reads_eof());
+  }
+  EXPECT_EQ(obs::counter("net.parse_errors").value(), before + 1);
+  Client next(ts.port());
+  next.send(job_line("after-long-line", "greedy", 30, 60, 1));
+  const std::string line = next.read_line();
+  const util::JsonValue obj = util::parse_json(line);
+  ASSERT_EQ(obj.find("error"), nullptr) << line;
+  EXPECT_EQ(obj.find("id")->as_string(), "after-long-line");
+  const net::ServeSummary summary = ts.finish();
+  EXPECT_EQ(summary.parse_errors, 1u);
   EXPECT_EQ(summary.requests, 1u);
 }
 

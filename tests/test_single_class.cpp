@@ -15,9 +15,9 @@
 
 namespace wmatch::core {
 
-// find_class_augmentations as it was before the walk, kept verbatim as the
-// reference for the skip: it builds and solves every pair with |Y| > 0.
-// Its one addition reports the most walk marks a build made.
+// find_class_augmentations as it was before the skip, kept verbatim as the
+// reference for it: it builds and solves every pair with |Y| > 0. Its one
+// addition reports the most walk marks a build made.
 namespace {
 
 /// Translates an augmenting path of the layered graph (compressed-id edge
@@ -297,16 +297,16 @@ TEST(SingleClass, NoUnmatchedCrossingEdgesMeansNoWork) {
 }
 
 // find_class_augmentations skips the pairs whose L' holds no augmenting
-// path. Against the reference, which builds and solves every pair with
-// |Y| > 0, on weighted and unit-weight graphs, with the empty matching and
-// after 1-3 rounds, over the HK and exact black boxes: the same
-// augmentations, gain and layered-graph count, no more black-box calls,
-// and exactly solver.core_empty fewer calls. Both charge the same cores
-// and candidates, and a skipped pair's empty core charges the reference
-// nothing; on top, the search holds one walk's marks at a time, and a
-// walk marks no more than the build's two walks do. So its peak lies
-// between the reference's and the reference's plus the most marks of one
-// build.
+// path, that is whose core is empty. Against the reference, which builds
+// and solves every pair with |Y| > 0, on weighted and unit-weight graphs,
+// with the empty matching and after 1-3 rounds, over the HK and exact
+// black boxes: the same augmentations, gain and layered-graph count, no
+// more black-box calls, and exactly solver.core_empty fewer calls. Both
+// charge the same cores and candidates, and a skipped pair's empty core
+// charges the reference nothing; on top, the search holds one build's
+// walk marks at a time, which the reference never charges. So its peak
+// lies between the reference's and the reference's plus the most marks of
+// one build.
 TEST(SingleClass, SkipsOnlyPairsWithoutAugmentingPath) {
   const obs::Counter& core_empty = obs::counter("solver.core_empty");
   std::size_t skipped = 0, solved = 0, found = 0;
