@@ -1,6 +1,6 @@
 #include "core/decompose.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "util/require.h"
 
@@ -30,33 +30,27 @@ std::vector<Augmentation> decompose_walk(const std::vector<Edge>& walk) {
   }
 
   // Stack-based extraction: whenever the walk returns to a vertex already
-  // on the stack, the edges since that visit form a simple cycle.
+  // on the stack, the edges since that visit form a simple cycle. The
+  // stack's vertices are distinct, so a scan finds the earlier visit.
   std::vector<Vertex> stack_verts{seq[0]};
   std::vector<Edge> stack_edges;
-  std::unordered_map<Vertex, std::size_t> pos;
-  pos.emplace(seq[0], 0);
 
   for (std::size_t i = 0; i < walk.size(); ++i) {
     Vertex nxt = seq[i + 1];
-    auto it = pos.find(nxt);
-    if (it != pos.end()) {
-      std::size_t j = it->second;
+    auto it = std::find(stack_verts.begin(), stack_verts.end(), nxt);
+    if (it != stack_verts.end()) {
+      const auto j = it - stack_verts.begin();
       Augmentation cycle;
       cycle.is_cycle = true;
-      cycle.edges.assign(stack_edges.begin() + static_cast<std::ptrdiff_t>(j),
-                         stack_edges.end());
+      cycle.edges.assign(stack_edges.begin() + j, stack_edges.end());
       cycle.edges.push_back(walk[i]);
       // Pop the cycle's interior vertices.
-      for (std::size_t v = j + 1; v < stack_verts.size(); ++v) {
-        pos.erase(stack_verts[v]);
-      }
-      stack_verts.resize(j + 1);
-      stack_edges.resize(j);
+      stack_verts.erase(it + 1, stack_verts.end());
+      stack_edges.erase(stack_edges.begin() + j, stack_edges.end());
       if (cycle.edges.size() >= 2) out.push_back(std::move(cycle));
     } else {
       stack_edges.push_back(walk[i]);
       stack_verts.push_back(nxt);
-      pos.emplace(nxt, stack_verts.size() - 1);
     }
   }
 

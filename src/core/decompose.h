@@ -19,7 +19,10 @@ namespace wmatch::core {
 /// Decomposes a walk (consecutive edges share an endpoint) into a simple
 /// path (possibly absent) and simple cycles. The edge sequence of every
 /// returned component is a contiguous-in-order subsequence of the walk, so
-/// alternation is inherited from the walk.
+/// alternation is inherited from the walk. Each step scans the stack of
+/// open vertices for a revisit, so the cost is quadratic in the walk
+/// length; the class search passes walks of at most 2 * max_layers - 3
+/// edges (9 at the default of 6 layers).
 std::vector<Augmentation> decompose_walk(const std::vector<Edge>& walk);
 
 }  // namespace wmatch::core

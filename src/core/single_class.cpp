@@ -47,10 +47,10 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   MemoryMeter meter;
   std::size_t candidate_words = 0;
 
-  // Candidate augmentations pooled over all bipartitions and tau pairs.
-  // (Divergence from the paper's Line 13 — see file comment in
-  // single_class.h.)
-  std::vector<Augmentation> candidates;
+  // Candidate augmentations pooled over all bipartitions and tau pairs,
+  // each with its gain against m. (Divergence from the paper's Line 13 —
+  // see file comment in single_class.h.)
+  std::vector<std::pair<Weight, Augmentation>> candidates;
 
   std::size_t core_empty = 0;
   const std::size_t reps = std::max<std::size_t>(1, opts.parametrizations);
@@ -138,7 +138,7 @@ SingleClassResult find_class_augmentations(const GraphView& g,
         const std::size_t words = best.edges.size();
         meter.add(words);  // pooled candidate, held until selection
         candidate_words += words;
-        candidates.push_back(std::move(best));
+        candidates.emplace_back(best_gain, std::move(best));
       }
     }
     meter.sub(lg_words + bb_words + mprime.size());  // subgraph retired
@@ -150,19 +150,14 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   core_empty_counter.add(core_empty);
 
   // Greedy selection by decreasing gain; keep vertex-disjoint ones.
-  std::vector<std::pair<Weight, std::size_t>> order;
-  order.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    order.emplace_back(candidates[i].gain(m), i);
-  }
-  std::stable_sort(order.begin(), order.end(),
+  std::stable_sort(candidates.begin(), candidates.end(),
                    [](const auto& x, const auto& y) { return x.first > y.first; });
   std::vector<Augmentation> sorted;
   sorted.reserve(candidates.size());
-  for (const auto& [gain, idx] : order) sorted.push_back(std::move(candidates[idx]));
+  for (auto& [gain, aug] : candidates) sorted.push_back(std::move(aug));
 
   for (std::size_t idx : select_disjoint(sorted, m)) {
-    Weight gain = sorted[idx].gain(m);
+    const Weight gain = candidates[idx].first;
     WMATCH_ASSERT(gain > 0);
     result.total_gain += gain;
     result.augmentations.push_back(std::move(sorted[idx]));

@@ -1,8 +1,6 @@
 #include "graph/augmentation.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/require.h"
 
@@ -30,8 +28,11 @@ bool Augmentation::is_valid_alternating(const Matching& m) const {
   if (edges.empty()) return false;
   // Connectivity / simplicity.
   std::vector<Vertex> verts = vertices();
-  std::unordered_set<Vertex> seen(verts.begin(), verts.end());
-  if (seen.size() != verts.size()) return false;  // repeated vertex
+  std::vector<Vertex> sorted = verts;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return false;  // repeated vertex
+  }
   std::size_t expected = is_cycle ? edges.size() : edges.size() + 1;
   if (verts.size() != expected) return false;
   if (is_cycle && edges.size() < 4) return false;  // alternating => even >= 4
@@ -55,11 +56,13 @@ bool Augmentation::is_valid_alternating(const Matching& m) const {
 
 std::vector<Edge> Augmentation::matching_neighborhood(const Matching& m) const {
   std::vector<Edge> out;
-  std::unordered_set<std::uint64_t> seen;
   for (Vertex v : vertices()) {
     if (!m.is_matched(v)) continue;
-    Edge e{v, m.mate(v), m.weight_at(v)};
-    if (seen.insert(e.key()).second) out.push_back(e);
+    const Edge e{v, m.mate(v), m.weight_at(v)};
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const Edge& f) { return f.key() == e.key(); })) {
+      out.push_back(e);
+    }
   }
   return out;
 }
@@ -86,12 +89,14 @@ Weight Augmentation::apply(Matching& m) const {
 }
 
 std::vector<Vertex> Augmentation::touched_vertices(const Matching& m) const {
-  std::unordered_set<Vertex> set;
+  std::vector<Vertex> out;
   for (Vertex v : vertices()) {
-    set.insert(v);
-    if (m.is_matched(v)) set.insert(m.mate(v));
+    out.push_back(v);
+    if (m.is_matched(v)) out.push_back(m.mate(v));
   }
-  return {set.begin(), set.end()};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::vector<Augmentation> symmetric_difference_components(const Matching& m,
@@ -179,15 +184,14 @@ std::vector<Augmentation> symmetric_difference_components(const Matching& m,
 
 std::vector<std::size_t> select_disjoint(const std::vector<Augmentation>& augs,
                                          const Matching& m) {
-  std::unordered_set<Vertex> used;
+  std::vector<char> used(m.num_vertices(), 0);
   std::vector<std::size_t> chosen;
   for (std::size_t i = 0; i < augs.size(); ++i) {
     std::vector<Vertex> touched = augs[i].touched_vertices(m);
-    bool conflict =
-        std::any_of(touched.begin(), touched.end(),
-                    [&](Vertex v) { return used.count(v) > 0; });
+    bool conflict = std::any_of(touched.begin(), touched.end(),
+                                [&](Vertex v) { return used[v] != 0; });
     if (conflict) continue;
-    used.insert(touched.begin(), touched.end());
+    for (Vertex v : touched) used[v] = 1;
     chosen.push_back(i);
   }
   return chosen;

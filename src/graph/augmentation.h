@@ -27,7 +27,10 @@ struct Augmentation {
   /// between M and non-M (Definition 4.2).
   bool is_valid_alternating(const Matching& m) const;
 
-  /// C_M: the matched edges incident to C's vertices (each reported once).
+  /// C_M: the matched edges incident to C's vertices, each reported once,
+  /// in the order their first endpoint occurs along vertices(). A linear
+  /// scan drops the repeats, so the cost is quadratic in |C|; every caller
+  /// passes short augmentations.
   std::vector<Edge> matching_neighborhood(const Matching& m) const;
 
   /// w+(C) = w(C \ M) - w(C_M). Does not modify m.
@@ -38,8 +41,9 @@ struct Augmentation {
   Weight apply(Matching& m) const;
 
   /// All vertices whose matched status can change when C is applied:
-  /// vertices of C plus endpoints of C_M. Used for conflict detection in
-  /// the greedy selection steps of Algorithms 1 and 3.
+  /// vertices of C plus endpoints of C_M, ascending and duplicate-free.
+  /// Used for conflict detection in the greedy selection steps of
+  /// Algorithms 1 and 3.
   std::vector<Vertex> touched_vertices(const Matching& m) const;
 };
 
@@ -53,7 +57,8 @@ std::vector<Augmentation> symmetric_difference_components(const Matching& m,
 
 /// Greedily selects a maximal subfamily of pairwise non-conflicting
 /// augmentations in the given order (two augmentations conflict when their
-/// touched vertex sets intersect). Returns indices into `augs`.
+/// touched vertex sets intersect). Returns indices into `augs`. Marks the
+/// used vertices in a table of m.num_vertices() bytes.
 std::vector<std::size_t> select_disjoint(
     const std::vector<Augmentation>& augs, const Matching& m);
 

@@ -13,6 +13,7 @@
 #include "graph/augmentation.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "util/require.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -812,6 +813,124 @@ TEST(LayeredGraphRandom, LargeBuildMatchesReference) {
   }
   EXPECT_GT(most_between, 1000u);
   EXPECT_GT(cores, 0u);
+}
+
+// The previous crossing_edges, kept verbatim as the exactness reference:
+// it branches on every edge's sides and on whether it is matched.
+CrossingEdges reference_crossing_edges(const GraphView& g, const Matching& m,
+                                       const Parametrization& par) {
+  WMATCH_REQUIRE(par.size() == g.num_vertices(), "parametrization size");
+  WMATCH_REQUIRE(m.num_vertices() == g.num_vertices(), "matching size");
+  CrossingEdges out;
+  for (const Edge& e : g.edges()) {
+    if (par[e.u] == par[e.v]) continue;
+    if (m.contains(e)) {
+      // Orient u in L (side 0), v in R.
+      Edge oriented = par[e.u] == 0 ? e : Edge{e.v, e.u, e.w};
+      out.matched.push_back(oriented);
+    } else {
+      // Orient u in R, v in L (the direction Y edges travel).
+      Edge oriented = par[e.u] == 1 ? e : Edge{e.v, e.u, e.w};
+      out.unmatched.push_back(oriented);
+    }
+  }
+  out.mate_weight.assign(g.num_vertices(), -1);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const Vertex mate = m.mate(v);
+    if (mate == kNoVertex) {
+      out.mate_weight[v] = 0;
+    } else if (par[v] != par[mate] && m.weight_at(v) > 0) {
+      out.mate_weight[v] = m.weight_at(v);
+    }
+  }
+  return out;
+}
+
+// What the crossing_edges comparisons covered.
+struct CrossingCoverage {
+  std::size_t matched = 0, unmatched = 0;
+  std::size_t zero_weight = 0;   // crossing M(x) of weight 0: reads -1
+  std::size_t non_crossing = 0;  // M(x) within one side: reads -1
+  std::size_t free = 0;          // M-free x: reads 0
+  std::size_t one_side = 0;      // bipartitions with every vertex on a side
+
+  void count(const CrossingEdges& ce, const Matching& m,
+             const Parametrization& par) {
+    matched += ce.matched.size();
+    unmatched += ce.unmatched.size();
+    for (Vertex v = 0; v < m.num_vertices(); ++v) {
+      if (!m.is_matched(v)) {
+        ++free;
+      } else if (par[v] == par[m.mate(v)]) {
+        ++non_crossing;
+      } else if (m.weight_at(v) == 0) {
+        ++zero_weight;
+      }
+    }
+    one_side += std::all_of(par.begin(), par.end(),
+                            [&](char s) { return s == par[0]; });
+  }
+};
+
+void expect_same_crossing(const GraphView& g, const Matching& m,
+                          const Parametrization& par,
+                          CrossingCoverage& coverage) {
+  const CrossingEdges got = core::crossing_edges(g, m, par);
+  const CrossingEdges want = reference_crossing_edges(g, m, par);
+  ASSERT_EQ(got.matched, want.matched);
+  ASSERT_EQ(got.unmatched, want.unmatched);
+  ASSERT_EQ(got.mate_weight, want.mate_weight);
+  coverage.count(got, m, par);
+}
+
+// crossing_edges reproduces the reference, edge order, orientation and
+// mate_weight included, over random graphs with some parallel edges (so a
+// matched pair can cross more than once), random matchings in which some
+// matched edges record weight 0 and some match two vertices that share no
+// edge, and bipartitions that are random or put every vertex on one side.
+TEST(CrossingEdgesTest, MatchesReference) {
+  Rng rng(41);
+  CrossingCoverage coverage;
+  for (int inst = 0; inst < 60; ++inst) {
+    const std::size_t n = 2 + rng.next_below(60);
+    Graph g = gen::erdos_renyi(
+        n, std::min<std::size_t>(n * (n - 1) / 2, 3 * n), rng);
+    g = gen::assign_weights(g, gen::WeightDist::kUniform, 100, rng);
+    const std::size_t simple_edges = g.num_edges();
+    for (std::size_t i = 0; i < simple_edges / 8; ++i) {
+      const Edge e = g.edge(rng.next_below(simple_edges));
+      g.add_edge(e.v, e.u, 1 + static_cast<Weight>(rng.next_below(100)));
+    }
+    Matching m = random_matching(g, rng);
+    for (Vertex v = 0; v < n; ++v) {
+      const Vertex mate = m.mate(v);
+      if (mate != kNoVertex && v < mate && rng.next_bool(0.25)) {
+        m.remove_at(v);
+        m.add(v, mate, 0);
+      }
+    }
+    for (Vertex v = 0; v + 1 < n; v += 2) {
+      if (!m.is_matched(v) && !m.is_matched(v + 1) && rng.next_bool(0.3)) {
+        m.add(v, v + 1, 1 + static_cast<Weight>(rng.next_below(100)));
+      }
+    }
+    Parametrization par = core::random_parametrization(n, rng);
+    if (inst % 5 < 2) std::fill(par.begin(), par.end(), inst % 5);
+    expect_same_crossing(freeze(g), m, par, coverage);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // One graph the size of perfbench's unit-bipartite instances.
+  Graph g = gen::random_bipartite(2500, 2500, 25000, rng);
+  g = gen::assign_weights(g, gen::WeightDist::kUnit, 1, rng);
+  const Matching m = random_matching(g, rng);
+  expect_same_crossing(freeze(g), m, core::random_parametrization(5000, rng),
+                       coverage);
+  EXPECT_GT(coverage.matched, 1000u);
+  EXPECT_GT(coverage.unmatched, 10000u);
+  EXPECT_GT(coverage.zero_weight, 0u);
+  EXPECT_GT(coverage.non_crossing, 0u);
+  EXPECT_GT(coverage.free, 0u);
+  EXPECT_GT(coverage.one_side, 0u);
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ TEST(NetServer, ConcurrentConnectionsMatchSerialBatchBitIdentically) {
     }
     EXPECT_EQ(got, std::set<std::string>(sent_ids[c].begin(),
                                          sent_ids[c].end()));
-    EXPECT_TRUE(clients[c]->read_line(5.0).empty());  // then EOF
+    EXPECT_TRUE(clients[c]->reads_eof(5.0));  // then EOF
   }
   const net::ServeSummary summary = ts.finish();
   EXPECT_EQ(summary.requests, kConns * kJobsPerConn);
@@ -327,7 +327,7 @@ TEST(NetServer, ConnectionOverMaxConnsIsRejectedAndClosed) {
   const util::JsonValue obj = util::parse_json(line);
   ASSERT_NE(obj.find("error"), nullptr) << line;
   EXPECT_EQ(obj.find("error")->as_string(), "overloaded");
-  EXPECT_TRUE(second.read_line(5.0).empty());  // closed right after
+  EXPECT_TRUE(second.reads_eof(5.0));  // closed right after
 }
 
 // ---- graceful drain ----------------------------------------------------
@@ -454,7 +454,7 @@ TEST(NetServer, PipelinedBurstAndSplitLineAnswerEveryLineInOrder) {
     ASSERT_EQ(obj.find("error"), nullptr) << line;
     EXPECT_EQ(obj.find("id")->as_string(), k < kBurst ? id(k) : "split");
   }
-  EXPECT_TRUE(client.read_line(5.0).empty());  // then EOF
+  EXPECT_TRUE(client.reads_eof(5.0));  // then EOF
   const net::ServeSummary summary = ts.finish();
   EXPECT_EQ(summary.requests, kBurst + 1);
   EXPECT_EQ(summary.parse_errors, 0u);
@@ -520,7 +520,7 @@ TEST(NetServer, IdleTimeoutClosesQuietSocketConnections) {
   // No further bytes and no jobs in flight: the poll-loop sweep closes
   // the connection once it has been quiet past the limit (the 1 s poll
   // timeout bounds the sweep latency). EOF, not an error reply.
-  EXPECT_TRUE(client.read_line(15.0).empty());
+  EXPECT_TRUE(client.reads_eof(15.0));
   EXPECT_GE(obs::counter("net.idle_closes").value(), before + 1);
 }
 
